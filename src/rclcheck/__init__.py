@@ -30,7 +30,6 @@ from .conflicts import (
     Verdict,
     VerdictKind,
     check,
-    conflicting_tags,
     iter_group_conflicts,
     run_check,
     search_conflicts,

@@ -64,17 +64,15 @@ class BuildOptions:
 
     ``complete`` keeps exploring past the first conflict; ``no_pruning``
     enumerates subsets of the full relativized-action universe instead of
-    the per-state relevant one.  ``max_set_size`` caps the size of
-    enumerated sets (default: the whole universe).  The state and
-    transition budgets turn runaway instances into an explicit
-    out-of-budget outcome instead of an open-ended run; ``time_limit`` (in
-    seconds) does the same on the wall clock for benchmark runs.
+    the per-state relevant one.  The state and transition budgets turn
+    runaway instances into an explicit out-of-budget outcome instead of an
+    open-ended run; ``time_limit`` (in seconds) does the same on the wall
+    clock for benchmark runs.
     """
 
     complete: bool = False
     no_pruning: bool = False
     max_states: int = 200_000
-    max_set_size: int | None = None
     max_transitions: int = 500_000
     time_limit: float | None = None
 
@@ -222,8 +220,7 @@ def enumerate_action_sets(
         universe = sorted(relativized_universe(individuals, actions))
     else:
         universe = sorted(relevant_universe(formula, individuals))
-    cap = len(universe) if options.max_set_size is None else options.max_set_size
-    for size in range(min(cap, len(universe)), 0, -1):
+    for size in range(len(universe), 0, -1):
         for subset in combinations(universe, size):
             yield frozenset(subset)
     yield frozenset()

@@ -66,6 +66,10 @@ def bench(
     complete: bool = False,
 ) -> list[dict]:
     """Generate, check and measure ``runs_per_group`` contracts per group."""
+    limits = {}
+    if budget is not None:
+        limits = {"max_states": budget, "max_transitions": budget}
+    options = BuildOptions(complete=complete, time_limit=time_limit, **limits)
     rows: list[dict] = []
     seed = base_seed
     for group in groups:
@@ -76,14 +80,6 @@ def bench(
                 clauses=group.clauses,
                 max_depth=group.max_depth,
                 seed=seed,
-            )
-            options = BuildOptions(
-                complete=complete,
-                max_states=budget if budget is not None else BuildOptions().max_states,
-                max_transitions=(
-                    budget if budget is not None else BuildOptions().max_transitions
-                ),
-                time_limit=time_limit,
             )
             started = time.perf_counter()
             outcome = run_check(spec, options)

@@ -2,8 +2,9 @@
 
 ``rclcheck CONTRACT.rcl`` checks a contract file and reports the first
 conflict with its trace.  Exit codes: 0 conflict-free, 1 conflicts found,
-2 unreadable or unparsable input, 3 inconclusive (budget exhausted),
-64 bad command line.
+2 unreadable or unparsable input or an unwritable output file, 3
+inconclusive (budget exhausted), 64 bad command line, 70 internal error.
+Every input ends in one of these codes, never in a traceback.
 
 Subcommands ``generate`` and ``bench`` produce random contracts and CSV
 benchmark records; ``check`` may be spelled explicitly.
@@ -11,6 +12,7 @@ benchmark records; ``check`` may be spelled explicitly.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from typing import Sequence
 
@@ -25,6 +27,7 @@ EXIT_CONFLICTS = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_USAGE = 64
+EXIT_INTERNAL_ERROR = 70
 
 
 class _UsageError(Exception):
@@ -34,6 +37,36 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would sys.exit(2)
         raise _UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
+
+
+def _positive_range(text: str) -> list[int]:
+    """A positive count ``N`` or an inclusive, nonempty range ``N..M``."""
+    lo, _, hi = text.partition("..")
+    first, last = _positive_int(lo), _positive_int(hi or lo)
+    if first > last:
+        raise argparse.ArgumentTypeError(f"empty range: {text!r}")
+    return list(range(first, last + 1))
+
+
+def _write(path: str, text: str) -> bool:
+    """Write an output file; on failure say why on stderr and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _check_parser() -> _Parser:
@@ -47,7 +80,7 @@ def _check_parser() -> _Parser:
                    help="enumerate all action combinations instead of the relevant ones")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="also print state formulas and transition action sets")
-    p.add_argument("--budget", type=int, metavar="N",
+    p.add_argument("--budget", type=_positive_int, metavar="N",
                    help="state and transition budget before giving up")
     return p
 
@@ -86,18 +119,13 @@ def _run_check(args: argparse.Namespace) -> int:
     if result.spec is None:
         return EXIT_INPUT_ERROR
 
-    options = BuildOptions(complete=args.complete, no_pruning=args.no_pruning)
+    budget = {}
     if args.budget is not None:
-        options = BuildOptions(
-            complete=args.complete,
-            no_pruning=args.no_pruning,
-            max_states=args.budget,
-            max_transitions=args.budget,
-        )
+        budget = {"max_states": args.budget, "max_transitions": args.budget}
+    options = BuildOptions(complete=args.complete, no_pruning=args.no_pruning, **budget)
     outcome = run_check(result.spec, options)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(export_dot(outcome.automaton, verbose=args.verbose))
+    if args.dot and not _write(args.dot, export_dot(outcome.automaton, verbose=args.verbose)):
+        return EXIT_INPUT_ERROR
 
     verdict = outcome.verdict
     if verdict.kind is VerdictKind.CONFLICT_FREE:
@@ -115,10 +143,10 @@ def _run_check(args: argparse.Namespace) -> int:
 
 def _generate_parser() -> _Parser:
     p = _Parser(prog="rclcheck generate", description="Generate a random RCL contract.")
-    p.add_argument("--individuals", type=int, required=True)
-    p.add_argument("--actions", type=int, required=True)
-    p.add_argument("--clauses", type=int, default=3)
-    p.add_argument("--max-depth", type=int, default=3)
+    p.add_argument("--individuals", type=_positive_int, required=True)
+    p.add_argument("--actions", type=_positive_int, required=True)
+    p.add_argument("--clauses", type=_positive_int, default=3)
+    p.add_argument("--max-depth", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", metavar="PATH", help="write the contract here instead of stdout")
     return p
@@ -133,32 +161,25 @@ def _run_generate(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     text = render(spec)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+    elif not _write(args.out, text):
+        return EXIT_INPUT_ERROR
     return 0
-
-
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
 
 
 def _bench_parser() -> _Parser:
     p = _Parser(prog="rclcheck bench",
                 description="Check groups of random contracts and emit CSV records.")
-    p.add_argument("--individuals", required=True,
+    p.add_argument("--individuals", type=_positive_range, required=True,
                    help="count or inclusive range, e.g. 8 or 5..12")
-    p.add_argument("--actions", required=True, help="count or inclusive range")
-    p.add_argument("--clauses", type=int, default=3)
-    p.add_argument("--max-depth", type=int, default=3)
-    p.add_argument("--runs", type=int, default=10, help="runs per group")
+    p.add_argument("--actions", type=_positive_range, required=True,
+                   help="count or inclusive range")
+    p.add_argument("--clauses", type=_positive_int, default=3)
+    p.add_argument("--max-depth", type=_positive_int, default=3)
+    p.add_argument("--runs", type=_positive_int, default=10, help="runs per group")
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--budget", type=int, help="state and transition budget per run")
+    p.add_argument("--budget", type=_positive_int, help="state and transition budget per run")
     p.add_argument("--time-limit", type=float, help="wall-clock limit per run, seconds")
     p.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     return p
@@ -167,8 +188,8 @@ def _bench_parser() -> _Parser:
 def _run_bench(args: argparse.Namespace) -> int:
     groups = [
         BenchGroup(individuals=n, actions=m, clauses=args.clauses, max_depth=args.max_depth)
-        for n in _parse_range(args.individuals)
-        for m in _parse_range(args.actions)
+        for n in args.individuals
+        for m in args.actions
     ]
     rows = bench(
         groups,
@@ -177,11 +198,12 @@ def _run_bench(args: argparse.Namespace) -> int:
         budget=args.budget,
         time_limit=args.time_limit,
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            write_csv(rows, handle)
-    else:
-        write_csv(rows, sys.stdout)
+    text = io.StringIO()
+    write_csv(rows, text)
+    if not args.out:
+        sys.stdout.write(text.getvalue())
+    elif not _write(args.out, text.getvalue()):
+        return EXIT_INPUT_ERROR
     return 0
 
 
@@ -204,7 +226,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # -h/--help
         return 0 if exc.code in (0, None) else EXIT_USAGE
-    return run(args)
+    try:
+        return run(args)
+    except Exception as exc:  # a crash must not read as a verdict
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -24,8 +24,6 @@ from .formula import (
     ConflictRelations,
     ContractSpec,
     Formula,
-    GLOBAL,
-    Individual,
     Obligation,
     Permission,
     Prohibition,
@@ -82,32 +80,6 @@ def tags_conflict(
             if _senders_overlap(d1.rel, d2.rel):
                 return ConflictKind.PERMISSION_VS_OBLIGATION_PREDEF
     return None
-
-
-def conflicting_tags(
-    tag: DeonticTag,
-    rels: ConflictRelations,
-    individuals: frozenset[Individual],
-) -> frozenset:
-    """Every tag over the given individuals that clashes with ``tag``.
-
-    Only the tag's own action and its pre-defined partners can clash, so
-    the candidate universe stays finite and small.
-    """
-    candidate_actions = {tag.action} | set(rels.partners(tag.action))
-    candidate_rels = [GLOBAL]
-    for i in sorted(individuals):
-        candidate_rels.append(Relativization(i))
-        for j in sorted(individuals):
-            candidate_rels.append(Relativization(i, j))
-    out = set()
-    for action in candidate_actions:
-        for rel in candidate_rels:
-            for op in DeonticOp:
-                other = DeonticTag(rel, op, action)
-                if tags_conflict(tag, other, rels) is not None:
-                    out.add(other)
-    return frozenset(out)
 
 
 Clash = tuple[DeonticTag, DeonticTag, ConflictKind]
@@ -205,8 +177,6 @@ def render_tag(tag: DeonticTag) -> str:
         DeonticOp.PERMISSION: Permission,
         DeonticOp.PROHIBITION: Prohibition,
     }[tag.op]
-    if ctor is Permission:
-        return render_formula(Permission(tag.rel, Atom(tag.action)))
     return render_formula(ctor(tag.rel, Atom(tag.action)))
 
 

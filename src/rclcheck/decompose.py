@@ -39,6 +39,7 @@ from .formula import (
     canonicalize,
     conj,
     conjuncts,
+    fold,
     xchoice,
 )
 
@@ -252,9 +253,12 @@ def decompose(
 ) -> Formula:
     """Residual contract after performing ``step``.
 
-    The formula must already be in step normal form (see ``prepare``);
-    bodies and reparations exposed by the step are returned as written and
-    normalized by the caller before the next step.
+    The formula must already be in step normal form (see ``prepare``).
+    The residual has its constants folded (see ``fold``), so a breached
+    conjunct or a discharged alternative ends the walk over its siblings,
+    but it is not canonical: bodies and reparations exposed by the step are
+    returned as written, and the caller applies ``prepare``, the step normal
+    form, before the next step.
     """
     for act in step:
         if act.sender not in individuals or act.receiver not in individuals:
@@ -265,10 +269,8 @@ def decompose(
     def go(f: Formula) -> Formula:
         if isinstance(f, (Top, Bottom)):
             return f
-        if isinstance(f, And):
-            return canonicalize(conj(*(go(c) for c in f.children)))
-        if isinstance(f, XChoice):
-            return canonicalize(xchoice(*(go(c) for c in f.children)))
+        if isinstance(f, (And, XChoice)):
+            return fold(type(f), (go(c) for c in f.children))
         if isinstance(f, Permission):
             # Permissions impose nothing on the trace; they only label states.
             return TOP

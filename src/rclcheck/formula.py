@@ -222,19 +222,6 @@ def action_atoms(expr: ActionExpr) -> Iterator[ActionName]:
             stack.append(e.inner)
 
 
-def uses_trigger_operators(expr: ActionExpr) -> bool:
-    """True if ``expr`` contains negation or iteration."""
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, (Negation, Star)):
-            return True
-        if isinstance(e, (Concurrent, Sequence, Choice)):
-            stack.append(e.left)
-            stack.append(e.right)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Contract formulas
 
@@ -347,6 +334,28 @@ def xchoice(*children: Formula) -> Formula:
     return XChoice(tuple(children))
 
 
+def fold(kind: type[And] | type[XChoice], children: Iterable[Formula]) -> Formula:
+    """Join ``children`` into a conjunction or a choice, folding constants.
+
+    ``TOP`` is neutral in ``And`` and absorbing in ``XChoice``, ``BOTTOM``
+    the reverse.  The first absorbing child decides the result and the rest
+    are never drawn, so ``children`` may be a lazy generator.  An empty join
+    is the neutral constant and a single child stands alone.
+    """
+    neutral, absorbing = (TOP, BOTTOM) if kind is And else (BOTTOM, TOP)
+    parts = []
+    for c in children:
+        if isinstance(c, type(absorbing)):
+            return absorbing
+        if not isinstance(c, type(neutral)):
+            parts.append(c)
+    if not parts:
+        return neutral
+    if len(parts) == 1:
+        return parts[0]
+    return kind(tuple(parts))
+
+
 def conjuncts(formula: Formula) -> tuple[Formula, ...]:
     """Top-level conjuncts of a formula (itself if not a conjunction)."""
     if isinstance(formula, And):
@@ -380,38 +389,15 @@ def canonicalize(formula: Formula) -> Formula:
         if body is formula.body:
             return formula
         return Dynamic(formula.rel, formula.trigger, body)
-    if isinstance(formula, And):
-        parts: list[Formula] = []
-        seen: set[Formula] = set()
-        for child in formula.children:
-            c = canonicalize(child)
-            if isinstance(c, Top):
-                continue
-            if isinstance(c, Bottom):
-                return BOTTOM
-            grand = c.children if isinstance(c, And) else (c,)
-            for g in grand:
-                if g not in seen:
-                    seen.add(g)
-                    parts.append(g)
-        parts.sort(key=Formula.sort_key)
-        return conj(*parts)
-    if isinstance(formula, XChoice):
-        parts = []
-        seen = set()
-        for child in formula.children:
-            c = canonicalize(child)
-            if isinstance(c, Top):
-                return TOP
-            if isinstance(c, Bottom):
-                continue
-            grand = c.children if isinstance(c, XChoice) else (c,)
-            for g in grand:
-                if g not in seen:
-                    seen.add(g)
-                    parts.append(g)
-        parts.sort(key=Formula.sort_key)
-        return xchoice(*parts)
+    if isinstance(formula, (And, XChoice)):
+        kind = type(formula)
+        joined = fold(kind, (canonicalize(c) for c in formula.children))
+        if not isinstance(joined, kind):
+            return joined
+        parts = {
+            g for c in joined.children for g in (c.children if isinstance(c, kind) else (c,))
+        }
+        return fold(kind, sorted(parts, key=Formula.sort_key))
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -502,17 +488,6 @@ class ConflictRelations:
 
     def relativized_conflicting(self, a: ActionName, b: ActionName) -> bool:
         return frozenset((a, b)) in self.relativized_pairs
-
-    def partners(self, action: ActionName) -> frozenset[ActionName]:
-        """Actions paired with ``action`` in either relation."""
-        out: set[ActionName] = set()
-        for pair in self.global_pairs | self.relativized_pairs:
-            if action in pair:
-                out.update(pair)
-        out.discard(action)
-        if frozenset((action,)) in self.global_pairs | self.relativized_pairs:
-            out.add(action)
-        return frozenset(out)
 
     def actions(self) -> frozenset[ActionName]:
         out: set[ActionName] = set()

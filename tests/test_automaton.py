@@ -79,7 +79,7 @@ def test_trivial_formula_enumerates_only_the_empty_step():
 
 def test_no_pruning_enumeration_order():
     formula = Obligation(directed("i", "i"), Atom("a"))
-    options = BuildOptions(no_pruning=True, max_set_size=2)
+    options = BuildOptions(no_pruning=True)
     individuals = frozenset({"i"})
     sets = list(
         enumerate_action_sets(formula, individuals, options, actions=frozenset({"a", "b"}))

@@ -137,31 +137,45 @@ def test_trace_states_appear_in_the_dot_export(capsys, tmp_path):
         assert state in graph["nodes"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("-h",),
-        ("--bogus-flag",),
-        ("__nope__.rcl",),
-        ("generate", "--individuals", "2", "--actions", "2"),
-        ("bench", "--individuals", "2", "--actions", "2", "--runs", "1", "--budget", "500"),
-    ],
-)
+# Every command line ends in exactly this code, never in a traceback.
+EXIT_CODES = {
+    ("-h",): 0,
+    ("--bogus-flag",): 64,
+    ("__nope__.rcl",): 2,
+    ("generate", "--individuals", "2", "--actions", "2"): 0,
+    ("bench", "--individuals", "2", "--actions", "2", "--runs", "1", "--budget", "500"): 0,
+    ("generate", "--individuals", "0", "--actions", "2"): 64,
+    ("bench", "--individuals", "2..x", "--actions", "2"): 64,
+    ("{clean}", "--budget", "0"): 64,
+    ("{clean}", "-g", "{missing}/out.dot"): 2,
+    ("generate", "--individuals", "2", "--actions", "2", "--out", "{missing}/x.rcl"): 2,
+    ("{nested}",): 70,  # the parser recurses once per nesting level
+}
+
+
+@pytest.mark.parametrize("argv", list(EXIT_CODES))
 def test_exit_codes_are_total(capsys, tmp_path, argv):
     fixtures = {
         "clean": "{i}P(a);\n",
         "clash": "{i}O(a) ^ {i}F(a);\n",
         "broken": "O(a;\n",
+        "nested": "[a](" * 300 + "O(b)" + ")" * 300 + ";\n",
     }
-    codes = set()
-    codes.add(main(list(argv)))
+    paths = {name: tmp_path / f"{name}.rcl" for name in fixtures}
     for name, text in fixtures.items():
-        path = tmp_path / f"{name}.rcl"
-        path.write_text(text)
+        paths[name].write_text(text)
+    expected = EXIT_CODES[argv]
+    argv = [arg.format(missing=tmp_path / "missing", **paths) for arg in argv]
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    if expected == 70:
+        assert err.startswith("error: internal error: ") and err.count("\n") == 1
+    codes = set()
+    for path in paths.values():
         codes.add(main([str(path)]))
         codes.add(main([str(path), "--budget", "1"]))
     capsys.readouterr()
-    assert codes <= {0, 1, 2, 3, 64}
+    assert codes <= {0, 1, 2, 3, 64, 70}
 
 
 def test_bench_range_yields_one_row_per_run(capsys):

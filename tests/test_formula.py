@@ -30,6 +30,7 @@ from rclcheck import (
     rename_symbols,
     xchoice,
 )
+from rclcheck.formula import fold
 from rclcheck.generator import generate
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
@@ -73,6 +74,29 @@ def test_canonicalize_choice_constants():
     assert canonicalize(xchoice(TOP, some)) == TOP
     assert canonicalize(xchoice(BOTTOM, some)) == some
     assert canonicalize(xchoice(BOTTOM, BOTTOM)) == BOTTOM
+
+
+def test_fold_constant_table_and_singletons():
+    some, other = Obligation(IJ, A), Prohibition(IJ, B)
+    for kind, neutral, absorbing in ((And, TOP, BOTTOM), (XChoice, BOTTOM, TOP)):
+        assert fold(kind, []) == neutral
+        assert fold(kind, [neutral, neutral]) == neutral
+        assert fold(kind, [some, absorbing]) == absorbing
+        assert fold(kind, [neutral, some, neutral]) == some
+        assert fold(kind, [some, neutral, other]) == kind((some, other))
+
+
+def test_fold_stops_drawing_at_the_first_absorbing_child():
+    for kind, absorbing in ((And, BOTTOM), (XChoice, TOP)):
+        drawn = []
+
+        def children():
+            for c in (Permission(GLOBAL, A), absorbing, Permission(GLOBAL, B)):
+                drawn.append(c)
+                yield c
+
+        assert fold(kind, children()) == absorbing
+        assert drawn == [Permission(GLOBAL, A), absorbing]
 
 
 def test_canonicalize_flattens_and_deduplicates():
@@ -155,5 +179,4 @@ def test_conflict_relations_symmetry_and_partners():
     assert rels.globally_conflicting("b", "a")
     assert rels.relativized_conflicting("c", "b")
     assert not rels.globally_conflicting("a", "c")
-    assert rels.partners("b") == {"a", "c"}
     assert rels.actions() == {"a", "b", "c"}
