@@ -77,7 +77,6 @@ from .formula import (
     conj,
     directed,
     extract_alphabet,
-    is_atomic,
     performer,
     rename_spec,
     rename_symbols,

@@ -3,9 +3,10 @@
 States are canonical residual contracts; transitions carry the concurrent
 relativized-action set performed in one step.  Construction is a
 deterministic depth-first exploration: at each state the candidate action
-sets are enumerated largest-first over a pruned universe (only actions the
-current residual can react to), the residual for each set is computed, and
-structurally equal residuals are shared.
+sets are enumerated largest-first over a pruned universe (the actions the
+current residual's leaf tests can match; see ``relevant_universe``), the
+residual for each set is computed, and structurally equal residuals are
+shared.
 """
 from __future__ import annotations
 
@@ -33,9 +34,7 @@ from .formula import (
     Individual,
     Negation,
     OneAction,
-    Permission,
     Relativization,
-    Star,
     Top,
     XChoice,
 )
@@ -147,55 +146,46 @@ def _compatible(
 
 
 def relevant_universe(
-    formula: Formula, individuals: frozenset[Individual]
+    formula: Formula,
+    individuals: frozenset[Individual],
+    actions: frozenset[ActionName] = frozenset(),
 ) -> frozenset:
-    """Relativized actions the formula can react to in the next step.
+    """Relativized actions that decide the next step of a normal-form formula.
 
-    Unguarded deontic operators contribute their action; dynamic operators
-    contribute only their trigger, since the body cannot matter before the
-    trigger fires.  Reparations are skipped: they activate only after a
-    violation, at which point they surface as the residual.  A wildcard
-    trigger borrows its body's actions so that some nonempty step exists
-    to fire it.
+    The formula must be in step normal form (see ``prepare``).  A residual
+    depends only on which of the formula's leaf tests a step makes true.
+    Each unguarded deontic operator and each dynamic trigger (a negated one
+    through its inner action) tests one basic action and adds the actions
+    compatible with its relativization; bodies and reparations are not
+    tested before the step and add nothing.  Any step T then makes the same
+    atomic tests true as its part inside the result, so the subsets of the
+    result give every outcome but one: a nonempty T that meets none of it.
+    Only a wildcard test (``[1]``, or ``[!1]`` from ``O(1)``) tells that
+    step from the empty one, so when a wildcard is present one spare action
+    stands for all such steps: the least one of the ``individuals`` x
+    ``actions`` universe left out of the result, if there is one.
     """
     out: set[RelativizedAction] = set()
-
-    def visit(f: Formula) -> None:
-        if isinstance(f, (Top, Bottom)):
-            return
+    wildcard = False
+    stack = [formula]
+    while stack:
+        f = stack.pop()
         if isinstance(f, (And, XChoice)):
-            for c in f.children:
-                visit(c)
-            return
-        if isinstance(f, Dynamic):
-            trig = f.trigger
-            negated = isinstance(trig, Negation)
-            if negated:
-                trig = trig.inner
-            if isinstance(trig, Atom):
-                out.update(_compatible(f.rel, trig.name, individuals))
-            elif isinstance(trig, OneAction) and not negated:
-                # A negated wildcard fires on the empty step, which is
-                # always enumerated; only the positive form needs a
-                # nonempty witness.
-                visit(f.body)
-            elif isinstance(trig, Star):
-                # Normal-form states carry iteration only inside bodies;
-                # cover a direct call by looking through one level.
-                inner = trig.inner
-                if isinstance(inner, Negation):
-                    inner = inner.inner
-                if isinstance(inner, Atom):
-                    out.update(_compatible(f.rel, inner.name, individuals))
-                visit(f.body)
-            return
-        if isinstance(f.action, Atom):
-            out.update(_compatible(f.rel, f.action.name, individuals))
-        elif isinstance(f.action, OneAction) and not isinstance(f, Permission):
-            if f.reparation is not None:
-                visit(f.reparation)
-
-    visit(formula)
+            stack.extend(f.children)
+            continue
+        if isinstance(f, (Top, Bottom)):
+            continue
+        test = f.trigger if isinstance(f, Dynamic) else f.action
+        if isinstance(test, Negation):
+            test = test.inner
+        if isinstance(test, Atom):
+            out.update(_compatible(f.rel, test.name, individuals))
+        elif isinstance(test, OneAction):
+            wildcard = True
+    if wildcard:
+        spare = relativized_universe(individuals, actions) - out
+        if spare:
+            out.add(min(spare))
     return frozenset(out)
 
 
@@ -203,23 +193,20 @@ def enumerate_action_sets(
     formula: Formula,
     individuals: frozenset[Individual],
     options: BuildOptions = BuildOptions(),
-    actions: frozenset[ActionName] | None = None,
+    actions: frozenset[ActionName] = frozenset(),
 ) -> Iterator[frozenset]:
     """Candidate concurrent action sets for one state, largest first.
 
     With pruning (the default) the universe is restricted to the actions
-    the formula can react to; without it, to the full universe over
-    ``actions``.  Ties within a size class follow the serialization order
-    of the sorted universe.  The empty set is always produced, last.
+    that decide the formula's next step (see ``relevant_universe``);
+    without it, it is the full universe over ``actions``.  Ties within a
+    size class follow the serialization order of the sorted universe.  The
+    empty set is always produced, last.
     """
     if options.no_pruning:
-        if actions is None:
-            from .formula import extract_alphabet
-
-            _, actions = extract_alphabet([formula])
         universe = sorted(relativized_universe(individuals, actions))
     else:
-        universe = sorted(relevant_universe(formula, individuals))
+        universe = sorted(relevant_universe(formula, individuals, actions))
     for size in range(len(universe), 0, -1):
         for subset in combinations(universe, size):
             yield frozenset(subset)

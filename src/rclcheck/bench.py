@@ -14,11 +14,6 @@ from .automaton import BuildOptions
 from .conflicts import VerdictKind, run_check
 from .generator import generate
 
-try:
-    import resource
-except ImportError:  # pragma: no cover - non-posix platforms
-    resource = None
-
 
 @dataclass(frozen=True)
 class BenchGroup:
@@ -46,15 +41,8 @@ CSV_FIELDS = (
     "states",
     "transitions",
     "time_s",
-    "peak_rss_kb",
     "finished",
 )
-
-
-def _peak_rss_kb() -> int | None:
-    if resource is None:
-        return None
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
 def bench(
@@ -85,7 +73,6 @@ def bench(
             outcome = run_check(spec, options)
             elapsed = time.perf_counter() - started
             verdict = outcome.verdict
-            rss = _peak_rss_kb()
             rows.append(
                 {
                     "group": group.name(),
@@ -99,7 +86,6 @@ def bench(
                     "states": outcome.automaton.n_states,
                     "transitions": len(outcome.automaton.transitions),
                     "time_s": f"{elapsed:.4f}",
-                    "peak_rss_kb": rss if rss is not None else "",
                     "finished": verdict.kind is not VerdictKind.INCONCLUSIVE,
                 }
             )

@@ -253,7 +253,11 @@ def decompose(
 ) -> Formula:
     """Residual contract after performing ``step``.
 
-    The formula must already be in step normal form (see ``prepare``).
+    The formula must already be in step normal form (see ``prepare``):
+    every test is on a basic action, ``1`` or ``0``, and iteration has been
+    unfolded, so a raw ``Star`` trigger raises ``ValueError``.  The outcome
+    therefore depends only on which of those leaf tests the step makes true,
+    which is what lets ``relevant_universe`` prune the steps of a state.
     The residual has its constants folded (see ``fold``), so a breached
     conjunct or a discharged alternative ends the walk over its siblings,
     but it is not canonical: bodies and reparations exposed by the step are
@@ -288,8 +292,6 @@ def decompose(
                 if trigger_matched(f.rel, trig.inner, step, individuals):
                     return TOP
                 return f.body
-            if isinstance(trig, Star):
-                return go(rewrite_compound(f))
             if trigger_matched(f.rel, trig, step, individuals):
                 return f.body
             return TOP

@@ -430,32 +430,6 @@ def extract_alphabet(
     return frozenset(individuals), frozenset(actions)
 
 
-def is_atomic(formula: Formula) -> bool:
-    """True iff no operator in the formula carries a compound action.
-
-    Compound means concurrency, sequence, choice, negation or iteration;
-    the special actions behave as leaves.
-    """
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, (Top, Bottom)):
-            continue
-        if isinstance(f, (And, XChoice)):
-            stack.extend(f.children)
-            continue
-        if isinstance(f, Dynamic):
-            if not isinstance(f.trigger, (Atom, ZeroAction, OneAction)):
-                return False
-            stack.append(f.body)
-            continue
-        if not isinstance(f.action, (Atom, ZeroAction, OneAction)):
-            return False
-        if not isinstance(f, Permission) and f.reparation is not None:
-            stack.append(f.reparation)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Pre-defined conflict relations and contract specifications
 

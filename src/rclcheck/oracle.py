@@ -189,7 +189,7 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
         if done.get(formula, -1) >= remaining:
             return None
         done[formula] = remaining
-        universe = sorted(relevant_universe(formula, individuals))
+        universe = sorted(relevant_universe(formula, individuals, spec.actions))
         candidates = [frozenset()]
         for size in range(1, len(universe) + 1):
             candidates.extend(frozenset(c) for c in combinations(universe, size))

@@ -53,6 +53,12 @@ from .formula import (
 
 KEYWORDS = frozenset({"conflict", "global", "relativized", "O", "P", "F", "true", "false"})
 
+# Deepest nesting a clause may have.  Parenthesized formulas, dynamic bodies
+# and reparations each open one level, and so does every link of an action
+# chain (``.``, ``&``, ``+``, ``*``), which builds a tree as deep as it is
+# long; every layer after the parser walks those trees recursively.
+MAX_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
@@ -177,6 +183,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.diagnostics = diagnostics
+        self.depth = 0
 
     # -- token plumbing ----------------------------------------------------
 
@@ -207,6 +214,28 @@ class _Parser:
 
     def warn(self, message: str, tok: _Token) -> None:
         self.diagnostics.append(ParseDiagnostic("warning", tok.line, tok.col, message))
+
+    def descend(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error(f"nesting deeper than {MAX_DEPTH} levels", tok)
+
+    def nested(self, tok: _Token, parse, *args):
+        """Run ``parse(*args)`` one nesting level deeper."""
+        self.descend(tok)
+        result = parse(*args)
+        self.depth -= 1
+        return result
+
+    def chain(self, op: str, build, operand, trigger: bool) -> ActionExpr:
+        """A left-nested chain of ``operand`` joined by ``op``."""
+        depth = self.depth
+        left = operand(trigger)
+        while (tok := self.accept(op)) is not None:
+            self.descend(tok)
+            left = build(left, operand(trigger))
+        self.depth = depth
+        return left
 
     def resync(self) -> None:
         # Skip to just past the next clause terminator.
@@ -269,6 +298,7 @@ class _Parser:
         return (a, b)
 
     def parse_clause(self) -> Formula:
+        self.depth = 0  # an aborted clause leaves it raised
         formula = self.parse_formula()
         self.expect(";", "';' after a clause")
         return formula
@@ -335,7 +365,7 @@ class _Parser:
             return BOTTOM
         if tok.kind == "(":
             self.advance()
-            inner = self.parse_formula()
+            inner = self.nested(tok, self.parse_formula)
             self.expect(")")
             return inner
         rel = GLOBAL
@@ -369,7 +399,7 @@ class _Parser:
         reparation: Formula | None = None
         rep_tok = self.accept("_/")
         if rep_tok is not None:
-            reparation = self.parse_formula()
+            reparation = self.nested(rep_tok, self.parse_formula)
             self.expect("/_", "'/_' closing the reparation")
         if op.kind == "O":
             return Obligation(rel, action, reparation)
@@ -382,29 +412,25 @@ class _Parser:
     def parse_dynamic(self, rel: Relativization) -> Formula:
         self.expect("[")
         trigger = self.parse_action(trigger=True)
-        self.expect("]")
-        body = self.parse_primary()
+        close = self.expect("]")
+        # ``[a](C)``: the parentheses belong to the modality, one level.
+        if self.accept("("):
+            body = self.nested(close, self.parse_formula)
+            self.expect(")")
+        else:
+            body = self.nested(close, self.parse_primary)
         return Dynamic(rel, trigger, body)
 
     # -- action expressions --------------------------------------------------
 
     def parse_action(self, trigger: bool) -> ActionExpr:
-        left = self.parse_action_seq(trigger)
-        while self.accept("+"):
-            left = Choice(left, self.parse_action_seq(trigger))
-        return left
+        return self.chain("+", Choice, self.parse_action_seq, trigger)
 
     def parse_action_seq(self, trigger: bool) -> ActionExpr:
-        left = self.parse_action_conc(trigger)
-        while self.accept("."):
-            left = Sequence(left, self.parse_action_conc(trigger))
-        return left
+        return self.chain(".", Sequence, self.parse_action_conc, trigger)
 
     def parse_action_conc(self, trigger: bool) -> ActionExpr:
-        left = self.parse_action_unary(trigger)
-        while self.accept("&"):
-            left = Concurrent(left, self.parse_action_unary(trigger))
-        return left
+        return self.chain("&", Concurrent, self.parse_action_unary, trigger)
 
     def parse_action_unary(self, trigger: bool) -> ActionExpr:
         tok = self.peek()
@@ -418,11 +444,13 @@ class _Parser:
             expr: ActionExpr = Negation(inner)
         else:
             expr = self.parse_action_atom(trigger)
-        while self.peek().kind == "*":
-            star_tok = self.advance()
+        depth = self.depth
+        while (star_tok := self.accept("*")) is not None:
             if not trigger:
                 self.error("iteration is allowed only in dynamic triggers", star_tok)
+            self.descend(star_tok)
             expr = Star(expr)
+        self.depth = depth
         return expr
 
     def parse_action_atom(self, trigger: bool) -> ActionExpr:
@@ -438,7 +466,7 @@ class _Parser:
             return ONE
         if tok.kind == "(":
             self.advance()
-            inner = self.parse_action(trigger)
+            inner = self.nested(tok, self.parse_action, trigger)
             self.expect(")")
             return inner
         self.error(f"expected an action, found {tok.value or 'end of input'!r}", tok)

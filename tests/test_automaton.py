@@ -5,23 +5,29 @@ import pytest
 from rclcheck import (
     BOTTOM,
     GLOBAL,
+    ONE,
     TOP,
+    ZERO,
     Atom,
     Bottom,
     BudgetExceeded,
     BuildOptions,
     ContractSpec,
     Dynamic,
+    Negation,
     Obligation,
     RelativizedAction,
     SpecialLabel,
     Star,
     Top,
     action_set_count,
+    check,
+    conj,
     construct,
     directed,
     enumerate_action_sets,
     export_dot,
+    oracle_verdict,
     parse_or_raise,
     performer,
     relativized_universe,
@@ -71,6 +77,56 @@ def test_relevance_skips_dynamic_bodies_and_reparations():
     assert relevant_universe(formula, individuals) == {ra("i", "a", "j")}
     with_rep = Obligation(directed("i", "j"), Atom("a"), body)
     assert relevant_universe(with_rep, individuals) == {ra("i", "a", "j")}
+
+
+def test_wildcard_trigger_adds_one_spare_action():
+    individuals = frozenset({"i", "j"})
+    actions = frozenset({"a", "b"})
+    body = Obligation(GLOBAL, Atom("b"))
+    # One spare action, the least one no leaf tests, stands for every
+    # nonempty step that makes no atomic test true.
+    assert relevant_universe(Dynamic(GLOBAL, ONE, body), individuals, actions) == {
+        ra("i", "a", "i")
+    }
+    guarded = conj(Dynamic(directed("i", "i"), Atom("a"), body), Dynamic(GLOBAL, ONE, body))
+    assert relevant_universe(guarded, individuals, actions) == {
+        ra("i", "a", "i"), ra("i", "a", "j")
+    }
+    # A negated wildcard also tells a nonempty step from the empty one.
+    negated = Dynamic(GLOBAL, Negation(ONE), body)
+    assert len(relevant_universe(negated, individuals, actions)) == 1
+    # The impossible action is tested by no step.
+    for zero in (Dynamic(GLOBAL, ZERO, body), Dynamic(GLOBAL, Negation(ZERO), body)):
+        assert relevant_universe(zero, individuals, actions) == frozenset()
+
+
+def test_wildcard_adds_no_spare_when_every_action_is_tested():
+    individuals = frozenset({"i"})
+    actions = frozenset({"a"})
+    formula = conj(Obligation(GLOBAL, Atom("a")), Dynamic(GLOBAL, ONE, TOP))
+    assert relevant_universe(formula, individuals, actions) == {ra("i", "a", "i")}
+    # Without an alphabet there is no action to spare.
+    assert relevant_universe(Dynamic(GLOBAL, ONE, TOP), individuals) == frozenset()
+
+
+# Each of these clashes only after a nonempty step that makes no atomic test
+# of its state true.
+WITNESS_CONTRACTS = (
+    "{i2}[!a2](O(a2) _/P(a1)/_) ^ {i2,i2}[1]({i2}F(a2));",
+    "{i1}O(a2) _/{i1}O(a2)/_ (+) O(a3) (+) {i1,i1}O(a3);\n"
+    "{i1}[a2*]({i1,i1}F(1.a2) _/F(a1)/_);",
+    "[1]([a&b](O(c) ^ F(c)));",
+    "[1]([a.b](O(c) ^ F(c)));",
+    "O(1) ^ [!a](O(c) ^ F(c));",
+)
+
+
+@pytest.mark.parametrize("text", WITNESS_CONTRACTS)
+def test_spare_witness_finds_the_conflict(text):
+    spec = parse_or_raise(text)
+    assert check(spec).has_conflicts
+    assert check(spec, BuildOptions(no_pruning=True)).has_conflicts
+    assert oracle_verdict(spec).conflict
 
 
 def test_trivial_formula_enumerates_only_the_empty_step():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 
 import pytest
 
@@ -126,8 +127,6 @@ def test_generate_writes_a_checkable_file(capsys, tmp_path):
 
 
 def test_trace_states_appear_in_the_dot_export(capsys, tmp_path):
-    import re
-
     dot_path = tmp_path / "out.dot"
     code, out, _ = run(capsys, str(CONTRACTS / "sales-contract.rcl"), "-g", str(dot_path))
     assert code == 1
@@ -149,7 +148,7 @@ EXIT_CODES = {
     ("{clean}", "--budget", "0"): 64,
     ("{clean}", "-g", "{missing}/out.dot"): 2,
     ("generate", "--individuals", "2", "--actions", "2", "--out", "{missing}/x.rcl"): 2,
-    ("{nested}",): 70,  # the parser recurses once per nesting level
+    ("{nested}",): 2,  # deeper than the parser's nesting limit
 }
 
 
@@ -167,15 +166,67 @@ def test_exit_codes_are_total(capsys, tmp_path, argv):
     expected = EXIT_CODES[argv]
     argv = [arg.format(missing=tmp_path / "missing", **paths) for arg in argv]
     assert main(argv) == expected
-    err = capsys.readouterr().err
-    if expected == 70:
-        assert err.startswith("error: internal error: ") and err.count("\n") == 1
+    assert "Traceback" not in capsys.readouterr().err
     codes = set()
     for path in paths.values():
         codes.add(main([str(path)]))
         codes.add(main([str(path), "--budget", "1"]))
     capsys.readouterr()
     assert codes <= {0, 1, 2, 3, 64, 70}
+
+
+def test_a_crash_is_one_line_and_exit_70(capsys, monkeypatch):
+    import rclcheck.cli
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(rclcheck.cli, "run_check", crash)
+    code, _, err = run(capsys, str(CONTRACTS / "simple-example.rcl"))
+    assert code == 70
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
+def nested_contract(kind: str, depth: int) -> str:
+    """A one-clause contract whose ``kind`` of nesting is ``depth`` deep."""
+    def chain(op: str) -> str:
+        return "[" + op.join(["a"] * (depth + 1)) + "](O(b));\n"
+
+    return {
+        "dynamic": "[a](" * depth + "O(b)" + ")" * depth + ";\n",
+        "parentheses": "(" * depth + "O(a)" + ")" * depth + ";\n",
+        "reparation": "O(a) _/" * depth + "O(a)" + "/_" * depth + ";\n",
+        "sequence": chain("."),
+        "concurrency": chain("&"),
+        "choice": chain("+"),
+        "iteration": "[a" + "*" * depth + "](O(b));\n",
+    }[kind]
+
+
+NESTINGS = ("dynamic", "parentheses", "reparation", "sequence", "concurrency",
+            "choice", "iteration")
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+@pytest.mark.parametrize("depth", [101, 10_000])
+def test_nesting_past_the_limit_is_a_parse_error(capsys, tmp_path, kind, depth):
+    path = tmp_path / "deep.rcl"
+    path.write_text(nested_contract(kind, depth))
+    code, out, err = run(capsys, str(path))
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r".*deep\.rcl:1:\d+: error: nesting deeper than 100 levels\n", err)
+
+
+@pytest.mark.parametrize("kind", NESTINGS)
+def test_nesting_at_the_limit_checks(capsys, tmp_path, kind):
+    path = tmp_path / "deep.rcl"
+    path.write_text(nested_contract(kind, 100))
+    dot_path = tmp_path / "deep.dot"
+    code, out, err = run(capsys, str(path), "-c", "-v", "-g", str(dot_path))
+    assert code == 0, err
+    assert out.startswith("No conflict detected.")
+    validate_dot(dot_path.read_text())
 
 
 def test_bench_range_yields_one_row_per_run(capsys):

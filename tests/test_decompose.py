@@ -227,11 +227,15 @@ def test_decompose_never_flips_constants():
 def test_iteration_step_equals_single_unfold():
     body = Obligation(I, B)
     star = Dynamic(I, Star(A), body)
+    # Iteration is unfolded by ``prepare``; raw input never reaches a step.
+    with pytest.raises(ValueError, match="compound action"):
+        decompose(star, frozenset(), INDS)
     unfolded = prepare(star)
-    for step in (frozenset(), frozenset({ra("i", "a", "i")}), frozenset({ra("i", "b", "i")})):
-        left = canonicalize(decompose(star, step, INDS))
-        right = canonicalize(decompose(unfolded, step, INDS))
-        assert left == right
+    once = conj(body, Dynamic(I, A, star))
+    a, b = ra("i", "a", "i"), ra("i", "b", "i")
+    for step in (frozenset(), frozenset({a}), frozenset({b}), frozenset({a, b})):
+        assert decompose(unfolded, step, INDS) == decompose(once, step, INDS)
+    assert decompose(unfolded, frozenset({a, b}), INDS) == star
 
 
 def test_decompose_rejects_unknown_step_symbols():

@@ -9,7 +9,6 @@ from rclcheck import (
     And,
     Atom,
     Choice,
-    Concurrent,
     ConflictRelations,
     ContractSpec,
     Dynamic,
@@ -19,13 +18,11 @@ from rclcheck import (
     Prohibition,
     Relativization,
     Sequence,
-    Star,
     XChoice,
     canonicalize,
     conj,
     directed,
     extract_alphabet,
-    is_atomic,
     performer,
     rename_symbols,
     xchoice,
@@ -134,14 +131,6 @@ def test_extract_alphabet_sees_triggers_bodies_and_reparations():
     individuals, actions = extract_alphabet([clause])
     assert individuals == {"k", "i", "j", "m"}
     assert actions == {"a", "b", "c", "d"}
-
-
-def test_is_atomic():
-    assert is_atomic(Obligation(IJ, A))
-    assert not is_atomic(Obligation(performer("i"), Sequence(A, B)))
-    assert not is_atomic(Dynamic(performer("k"), Sequence(A, B), Permission(GLOBAL, C)))
-    assert not is_atomic(Dynamic(GLOBAL, Star(A), TOP))
-    assert not is_atomic(conj(Permission(GLOBAL, A), Obligation(GLOBAL, Concurrent(A, B))))
 
 
 def test_spec_alphabet_includes_conflict_actions():

@@ -161,7 +161,7 @@ def test_satisfaction_matches_iterated_decomposition():
                 )
             if remaining == 0 or isinstance(formula, (Top, Bottom)):
                 return
-            universe = sorted(relevant_universe(formula, individuals))
+            universe = sorted(relevant_universe(formula, individuals, spec.actions))
             candidates = [frozenset()]
             for size in range(1, len(universe) + 1):
                 candidates.extend(
