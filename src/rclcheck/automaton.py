@@ -2,11 +2,12 @@
 
 States are canonical residual contracts; transitions carry the concurrent
 relativized-action set performed in one step.  Construction is a
-deterministic depth-first exploration: at each state the candidate action
-sets are enumerated largest-first over a pruned universe (the actions the
-current residual's leaf tests can match; see ``relevant_universe``), the
-residual for each set is computed, and structurally equal residuals are
-shared.
+deterministic depth-first exploration.  A residual depends only on which of
+its state's leaf tests a step makes true, so each state gets one step per
+satisfiable valuation of those tests (the minterms of a symbolic automaton):
+the valuation's first subset of ``relevant_universe`` in largest-first
+order.  The residual for each step is computed, and structurally equal
+residuals are shared.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Iterator
 
 from .decompose import (
@@ -22,8 +23,10 @@ from .decompose import (
     decompose,
     deontic_tags,
     prepare,
+    trigger_matched,
 )
 from .formula import (
+    GLOBAL,
     ActionName,
     And,
     Atom,
@@ -34,6 +37,7 @@ from .formula import (
     Individual,
     Negation,
     OneAction,
+    Permission,
     Relativization,
     Top,
     XChoice,
@@ -61,12 +65,14 @@ class Transition:
 class BuildOptions:
     """Construction knobs.
 
-    ``complete`` keeps exploring past the first conflict; ``no_pruning``
-    enumerates subsets of the full relativized-action universe instead of
-    the per-state relevant one.  The state and transition budgets turn
-    runaway instances into an explicit out-of-budget outcome instead of an
-    open-ended run; ``time_limit`` (in seconds) does the same on the wall
-    clock for benchmark runs.
+    ``complete`` keeps exploring past the first conflict.  ``no_pruning``
+    is the concrete reference mode: every subset of the full
+    relativized-action universe is a step, instead of one witness step per
+    valuation of a state's leaf tests.  The state and transition budgets
+    turn runaway instances into an explicit out-of-budget outcome instead
+    of an open-ended run; ``max_transitions`` counts one transition per
+    valuation (per subset under ``no_pruning``).  ``time_limit`` (in
+    seconds) does the same on the wall clock for benchmark runs.
     """
 
     complete: bool = False
@@ -145,27 +151,21 @@ def _compatible(
         yield RelativizedAction(rel.sender, action, rel.receiver)
 
 
-def relevant_universe(
-    formula: Formula,
-    individuals: frozenset[Individual],
-    actions: frozenset[ActionName] = frozenset(),
-) -> frozenset:
-    """Relativized actions that decide the next step of a normal-form formula.
+def _leaf_tests(formula: Formula) -> tuple[dict, bool]:
+    """The leaf tests of a normal-form formula, and whether it tests ``1``.
 
-    The formula must be in step normal form (see ``prepare``).  A residual
-    depends only on which of the formula's leaf tests a step makes true.
-    Each unguarded deontic operator and each dynamic trigger (a negated one
-    through its inner action) tests one basic action and adds the actions
-    compatible with its relativization; bodies and reparations are not
-    tested before the step and add nothing.  Any step T then makes the same
-    atomic tests true as its part inside the result, so the subsets of the
-    result give every outcome but one: a nonempty T that meets none of it.
-    Only a wildcard test (``[1]``, or ``[!1]`` from ``O(1)``) tells that
-    step from the empty one, so when a wildcard is present one spare action
-    stands for all such steps: the least one of the ``individuals`` x
-    ``actions`` universe left out of the result, if there is one.
+    Walks the ``And``/``XChoice`` spine of a state in step normal form (see
+    ``prepare``).  Each unguarded deontic operator and each dynamic trigger
+    (a negated one through its inner action) on a basic action tests that
+    action under its relativization; bodies and reparations are not tested
+    before the step and give nothing.  The tests come back as
+    ``{name: {rel: decides}}``, where ``decides`` is false when only
+    permissions test the pair: they label the state but never change its
+    residual.  A ``1`` trigger, plain or negated (``O(1)`` becomes
+    ``[!1]``), sets the wildcard flag; ``0`` is matched by no step and
+    gives nothing.
     """
-    out: set[RelativizedAction] = set()
+    tests: dict[ActionName, dict[Relativization, bool]] = {}
     wildcard = False
     stack = [formula]
     while stack:
@@ -179,14 +179,115 @@ def relevant_universe(
         if isinstance(test, Negation):
             test = test.inner
         if isinstance(test, Atom):
-            out.update(_compatible(f.rel, test.name, individuals))
+            rels = tests.setdefault(test.name, {})
+            rels[f.rel] = rels.get(f.rel, False) or not isinstance(f, Permission)
         elif isinstance(test, OneAction):
             wildcard = True
+    return tests, wildcard
+
+
+def _spare(
+    tested: frozenset, individuals: frozenset[Individual], actions: frozenset[ActionName]
+) -> frozenset:
+    """The least action of the ``individuals`` x ``actions`` universe that
+    ``tested`` leaves out, as a singleton, or nothing when there is none."""
+    universe = product(sorted(individuals), sorted(actions), sorted(individuals))
+    for spare in (RelativizedAction(*parts) for parts in universe):
+        if spare not in tested:
+            return frozenset({spare})
+    return frozenset()
+
+
+def relevant_universe(
+    formula: Formula,
+    individuals: frozenset[Individual],
+    actions: frozenset[ActionName] = frozenset(),
+) -> frozenset:
+    """Relativized actions that decide the next step of a normal-form formula.
+
+    A residual depends only on which of the formula's leaf tests (see
+    ``_leaf_tests``) a step makes true.  Each test adds the actions
+    compatible with its relativization, so any step T makes the same atomic
+    tests true as its part inside the result, and the subsets of the result
+    give every outcome but one: a nonempty T that meets none of it.  Only a
+    wildcard test tells that step from the empty one, so when a wildcard is
+    present one spare action stands for all such steps: the least one of
+    the ``individuals`` x ``actions`` universe left out of the result, if
+    there is one.
+    """
+    tests, wildcard = _leaf_tests(formula)
+    tested = frozenset(a for name, rels in tests.items()
+                       for rel in rels for a in _compatible(rel, name, individuals))
+    return tested | _spare(tested, individuals, actions) if wildcard else tested
+
+
+def _name_witnesses(
+    name: ActionName, rels: dict, individuals: frozenset[Individual]
+) -> tuple[frozenset, list[frozenset]]:
+    """The actions one name's tests span, and its largest step for each
+    satisfiable valuation of the tests that decide.
+
+    A valuation's step is every action that matches no false performer or
+    directed test.  A false global test then drops the row of one sender no
+    true test pins: the row with the fewest actions left, the greatest
+    sender on ties, which keeps the smaller indices.  That is the
+    valuation's first step in largest-first order.  A valuation its step
+    does not meet is unsatisfiable and skipped.
+    """
+    atom = Atom(name)
+    matches = {rel: frozenset(_compatible(rel, name, individuals)) for rel in rels}
+    universe = frozenset().union(*matches.values())
+    deciding = [rel for rel, decides in rels.items() if decides]
+    out = []
+    for mask in range(1 << len(deciding)):
+        true = [rel for k, rel in enumerate(deciding) if mask >> k & 1]
+        false = [rel for k, rel in enumerate(deciding) if not mask >> k & 1]
+        step = universe.difference(*(matches[rel] for rel in false if not rel.is_global))
+        if GLOBAL in false:
+            pinned = {rel.sender for rel in true}
+            free = [s for s in individuals if s not in pinned]
+            if free:
+                drop = max(free, key=lambda s: (-sum(a.sender == s for a in step), s))
+                step = frozenset(a for a in step if a.sender != drop)
+        if all(trigger_matched(rel, atom, step, individuals) for rel in true) and not any(
+                trigger_matched(rel, atom, step, individuals) for rel in false):
+            out.append(step)
+    return universe, out
+
+
+def _witnesses(
+    tests: dict,
+    wildcard: bool,
+    individuals: frozenset[Individual],
+    actions: frozenset[ActionName],
+    tables: dict,
+) -> list[frozenset]:
+    """One step per satisfiable valuation of a state's leaf tests, in the
+    order ``combinations`` over the sorted relevant universe reaches each
+    valuation first: by size, then by index tuple, which for steps of one
+    size orders them as their sorted actions do.
+
+    The steps are the products of the per-name ones (see
+    ``_name_witnesses``, kept in ``tables`` by test set), with the spare
+    action added when a wildcard test is true and the empty step for a
+    false one.
+    """
+    steps = [frozenset()]
+    tested = frozenset()
+    for name, rels in tests.items():
+        key = (name, frozenset(rels.items()))
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _name_witnesses(name, rels, individuals)
+        universe, per_name = table
+        tested |= universe
+        steps = [s | t for s in steps for t in per_name]
     if wildcard:
-        spare = relativized_universe(individuals, actions) - out
-        if spare:
-            out.add(min(spare))
-    return frozenset(out)
+        extra = _spare(tested, individuals, actions)
+        steps = [s | extra for s in steps if s or extra]
+        steps.append(frozenset())
+    steps.sort(key=lambda s: (-len(s), sorted(s)))
+    return steps
 
 
 def enumerate_action_sets(
@@ -194,23 +295,30 @@ def enumerate_action_sets(
     individuals: frozenset[Individual],
     options: BuildOptions = BuildOptions(),
     actions: frozenset[ActionName] = frozenset(),
+    *,
+    tables: dict | None = None,
 ) -> Iterator[frozenset]:
     """Candidate concurrent action sets for one state, largest first.
 
-    With pruning (the default) the universe is restricted to the actions
-    that decide the formula's next step (see ``relevant_universe``);
-    without it, it is the full universe over ``actions``.  Ties within a
-    size class follow the serialization order of the sorted universe.  The
-    empty set is always produced, last.
+    By default there is one set per satisfiable valuation of the formula's
+    leaf tests (see ``_witnesses``): the first subset of
+    ``relevant_universe`` in largest-first order that makes exactly those
+    tests true, so each residual is reached by the same first step as a
+    walk over every subset would reach it.  ``tables``, shared by the
+    states of one construction, keeps the per-name steps of each distinct
+    test set.  Under ``options.no_pruning`` it is the concrete reference
+    instead: every subset of the full universe over ``actions``, by size
+    and then in the serialization order of the sorted universe.  Either
+    way a set that is produced empty comes last.
     """
     if options.no_pruning:
         universe = sorted(relativized_universe(individuals, actions))
-    else:
-        universe = sorted(relevant_universe(formula, individuals, actions))
-    for size in range(len(universe), 0, -1):
-        for subset in combinations(universe, size):
-            yield frozenset(subset)
-    yield frozenset()
+        return (frozenset(subset)
+                for size in range(len(universe), -1, -1)
+                for subset in combinations(universe, size))
+    tests, wildcard = _leaf_tests(formula)
+    return iter(_witnesses(tests, wildcard, individuals, actions,
+                           tables if tables is not None else {}))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +332,8 @@ class _HaltBuild(Exception):
 
 
 class _Budget(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
+    def __init__(self, limit: str):
+        self.limit = limit
 
 
 def construct(
@@ -265,14 +373,15 @@ def construct(
 
     def add_transition(source: int, label: Label, target: int) -> None:
         if len(transitions) >= options.max_transitions:
-            raise _Budget(f"transition budget of {options.max_transitions} exhausted")
+            raise _Budget(f"transition budget of {options.max_transitions}")
         transitions.append(Transition(source, label, target))
 
     stack: list[tuple[int, Iterator[frozenset]]] = []
+    tables: dict = {}
 
     def new_state(formula: Formula) -> int:
         if len(formulas) >= options.max_states:
-            raise _Budget(f"state budget of {options.max_states} exhausted")
+            raise _Budget(f"state budget of {options.max_states}")
         sid = len(formulas)
         state_ids[formula] = sid
         formulas.append(formula)
@@ -295,16 +404,15 @@ def construct(
             violation = sid
             add_transition(sid, SpecialLabel.VIOLATION_LOOP, sid)
         else:
-            stack.append(
-                (sid, enumerate_action_sets(formula, individuals, options, spec.actions))
-            )
+            stack.append((sid, enumerate_action_sets(
+                formula, individuals, options, spec.actions, tables=tables)))
 
     try:
         root = prepare(spec.root())
         visit(new_state(root))
         while stack:
             if deadline is not None and time.monotonic() > deadline:
-                raise _Budget(f"time limit of {options.time_limit}s exhausted")
+                raise _Budget(f"time limit of {options.time_limit}s")
             sid, sets = stack[-1]
             step = next(sets, None)
             if step is None:
@@ -321,7 +429,9 @@ def construct(
     except _HaltBuild:
         pass
     except _Budget as exc:
-        raise BudgetExceeded(exc.reason, snapshot()) from None
+        reason = (f"{exc.limit} exhausted after {len(formulas)} states"
+                  f" and {len(transitions)} transitions")
+        raise BudgetExceeded(reason, snapshot()) from None
     return snapshot()
 
 

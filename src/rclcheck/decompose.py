@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .formula import (
     BOTTOM,
@@ -44,9 +44,12 @@ from .formula import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class RelativizedAction:
-    """A basic action together with its sender and receiver."""
+class RelativizedAction(NamedTuple):
+    """A basic action together with its sender and receiver.
+
+    A named tuple, so hashing, equality and ordering (by sender, action,
+    receiver) run at C speed in the sets that steps are made of.
+    """
 
     sender: Individual
     action: ActionName

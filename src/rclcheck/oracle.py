@@ -4,7 +4,8 @@
 of action and deontic traces.  ``oracle_verdict`` searches for conflicting
 states by re-decomposing the contract from the root along every bounded
 trace, with none of the automaton machinery (no state sharing, no
-largest-first ordering, no early construction stop).
+witness steps, no largest-first ordering, no early construction stop) but
+its step universe, ``relevant_universe``.
 """
 from __future__ import annotations
 
@@ -171,6 +172,13 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
     actions (plus the empty step) is tried depth-first from the root; each
     residual's deontic groups are searched for a clash.  Only practical on
     small alphabets; bounds are enforced.
+
+    Every subset of ``relevant_universe`` is a step here, so the engine's
+    enumerator, one witness step per valuation of a state's leaf tests, is
+    not the oracle's.  The universe itself, spare action included, is
+    shared with the engine: a defect in it shows the same way in both, and
+    only the concrete mode (``BuildOptions(no_pruning=True)``, ``-n``),
+    which steps over the whole universe, can catch it.
     """
     individuals = spec.effective_individuals
     if len(individuals) > _MAX_INDIVIDUALS or len(spec.actions) > _MAX_ACTIONS:

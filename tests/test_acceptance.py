@@ -177,20 +177,19 @@ def test_criterion_7_scalability_smoke():
     ]
     for base_seed, group in zip((0, 100), groups):
         started = time.monotonic()
-        rows = bench([group], runs_per_group=10, base_seed=base_seed,
-                     budget=60_000, time_limit=20.0)
+        # A count-only budget, so the verdict does not depend on host speed.
+        rows = bench([group], runs_per_group=10, base_seed=base_seed, budget=60_000)
         elapsed = time.monotonic() - started
         assert elapsed < 180.0, f"group {group.name()} took {elapsed:.1f}s"
         assert len(rows) == 10
         for row in rows:
-            assert row["verdict"] in ("conflict-free", "conflicts", "inconclusive")
-            assert row["finished"] == (row["verdict"] != "inconclusive")
+            assert row["verdict"] in ("conflict-free", "conflicts"), row
+            assert row["finished"] is True
         buffer = io.StringIO()
         write_csv(rows, buffer)
         parsed = list(csv.DictReader(io.StringIO(buffer.getvalue())))
         assert len(parsed) == 10
-        unfinished = [r for r in parsed if r["finished"] == "False"]
-        assert all(r["verdict"] == "inconclusive" for r in unfinished)
+        assert all(r["finished"] == "True" for r in parsed)
     _passline("7 scalability smoke")
 
 

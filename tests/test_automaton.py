@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rclcheck import (
     BOTTOM,
@@ -8,6 +12,7 @@ from rclcheck import (
     ONE,
     TOP,
     ZERO,
+    And,
     Atom,
     Bottom,
     BudgetExceeded,
@@ -16,10 +21,13 @@ from rclcheck import (
     Dynamic,
     Negation,
     Obligation,
+    Prohibition,
     RelativizedAction,
     SpecialLabel,
     Star,
     Top,
+    VerdictKind,
+    XChoice,
     action_set_count,
     check,
     conj,
@@ -34,6 +42,7 @@ from rclcheck import (
     relevant_universe,
     trace_to,
 )
+from rclcheck.decompose import trigger_matched
 from rclcheck.generator import generate
 
 from dot_grammar import validate_dot
@@ -133,6 +142,134 @@ def test_trivial_formula_enumerates_only_the_empty_step():
     assert list(enumerate_action_sets(TOP, frozenset({"i"}))) == [frozenset()]
 
 
+# ---------------------------------------------------------------------------
+# witness steps: one per satisfiable valuation of a state's leaf tests
+
+
+def rows(name, senders, individuals):
+    return frozenset(ra(s, name, r) for s in senders for r in individuals)
+
+
+def test_false_global_test_drops_the_emptiest_unpinned_row():
+    individuals = frozenset({"i", "j", "k"})
+    formula = conj(Obligation(GLOBAL, Atom("a")),
+                   Dynamic(directed("k", "k"), Atom("a"), Obligation(GLOBAL, Atom("b"))))
+    everything = rows("a", "ijk", individuals)
+    assert list(enumerate_action_sets(formula, individuals)) == [
+        everything,                          # global true, directed true
+        everything - {ra("k", "a", "k")},    # global true, directed false
+        # Both false: k's row is the emptiest once (k,a,k) is cut.
+        rows("a", "ij", individuals),
+        # Global false, directed true: k is pinned, i and j tie at three
+        # actions and the greater sender's row goes.
+        rows("a", "ik", individuals),
+    ]
+
+
+def test_performer_witness_holds_every_receiver():
+    individuals = frozenset({"i", "j", "k"})
+    formula = Obligation(performer("i"), Atom("a"))
+    assert list(enumerate_action_sets(formula, individuals)) == [
+        rows("a", "i", individuals), frozenset()
+    ]
+
+
+def test_unsatisfiable_valuation_is_skipped():
+    # A true global test with a false performer test on the same name
+    # cannot happen: every individual, i included, performs the action.
+    individuals = frozenset({"i", "j"})
+    formula = conj(Obligation(GLOBAL, Atom("a")), Obligation(performer("i"), Atom("a")))
+    assert list(enumerate_action_sets(formula, individuals)) == [
+        rows("a", "ij", individuals),   # both true
+        rows("a", "i", individuals),    # global false, performer true
+        rows("a", "j", individuals),    # both false: i's row is already empty
+    ]
+
+
+@pytest.mark.parametrize("wildcard", [ONE, Negation(ONE)], ids=["[1]", "[!1]"])
+def test_wildcard_valuations_use_the_spare_action(wildcard):
+    individuals = frozenset({"i", "j"})
+    actions = frozenset({"a", "b"})
+    body = Obligation(GLOBAL, Atom("b"))
+    alone = Dynamic(GLOBAL, wildcard, body)
+    # True: the spare action alone; false: the empty step.
+    assert list(enumerate_action_sets(alone, individuals, actions=actions)) == [
+        frozenset({ra("i", "a", "i")}), frozenset()
+    ]
+    guarded = conj(Obligation(directed("i", "i"), Atom("a")), alone)
+    assert list(enumerate_action_sets(guarded, individuals, actions=actions)) == [
+        frozenset({ra("i", "a", "i"), ra("i", "a", "j")}),   # test true
+        frozenset({ra("i", "a", "j")}),                      # test false, step nonempty
+        frozenset(),
+    ]
+
+
+def test_wildcard_without_a_spare_needs_a_tested_action():
+    individuals = frozenset({"i"})
+    formula = conj(Obligation(GLOBAL, Atom("a")), Dynamic(GLOBAL, ONE, TOP))
+    # With every action tested, a nonempty step makes the global test true.
+    assert list(enumerate_action_sets(formula, individuals, actions=frozenset({"a"}))) == [
+        frozenset({ra("i", "a", "i")}), frozenset()
+    ]
+
+
+def leaf_tests(formula):
+    """The (rel, action) tests ``decompose`` reads at a normal-form state."""
+    out, stack = set(), [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (And, XChoice)):
+            stack.extend(f.children)
+        elif isinstance(f, (Obligation, Prohibition, Dynamic)):
+            test = f.trigger if isinstance(f, Dynamic) else f.action
+            out.add((f.rel, test.inner if isinstance(test, Negation) else test))
+    return sorted(out, key=repr)
+
+
+def first_step_per_valuation(formula, individuals, actions):
+    universe = sorted(relevant_universe(formula, individuals, actions))
+    tests = leaf_tests(formula)
+    first = {}
+    for size in range(len(universe), -1, -1):
+        for subset in combinations(universe, size):
+            step = frozenset(subset)
+            valuation = tuple(trigger_matched(rel, act, step, individuals) for rel, act in tests)
+            first.setdefault(valuation, step)
+    return list(first.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_individuals=st.integers(1, 3), n_actions=st.integers(1, 3),
+       clauses=st.integers(1, 2), seed=st.integers(0, 10**6))
+def test_witnesses_are_the_first_step_of_each_valuation(n_individuals, n_actions, clauses, seed):
+    spec = generate(individuals=n_individuals, actions=n_actions, clauses=clauses,
+                    max_depth=3, seed=seed)
+    options = BuildOptions(complete=True, max_states=60, max_transitions=2_000)
+    try:
+        automaton = construct(spec, options)
+    except BudgetExceeded as exc:
+        automaton = exc.automaton
+    individuals = spec.effective_individuals
+    for formula in automaton.formulas:
+        if isinstance(formula, (Top, Bottom)):
+            continue
+        # Keep the reference walk over every subset small.
+        if len(relevant_universe(formula, individuals, spec.actions)) > 12:
+            continue
+        witnesses = list(enumerate_action_sets(formula, individuals, BuildOptions(), spec.actions))
+        assert witnesses == first_step_per_valuation(formula, individuals, spec.actions)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_actions=st.integers(2, 3), clauses=st.integers(1, 2), seed=st.integers(0, 10**6))
+def test_pruned_verdict_matches_concrete_mode(n_actions, clauses, seed):
+    spec = generate(individuals=2, actions=n_actions, clauses=clauses, max_depth=3, seed=seed)
+    budget = dict(max_states=2_000, max_transitions=20_000)
+    concrete = check(spec, BuildOptions(no_pruning=True, **budget))
+    assume(concrete.kind is not VerdictKind.INCONCLUSIVE)
+    assert check(spec, BuildOptions(**budget)).kind is concrete.kind
+
+
 def test_no_pruning_enumeration_order():
     formula = Obligation(directed("i", "i"), Atom("a"))
     options = BuildOptions(no_pruning=True)
@@ -229,14 +366,19 @@ def test_state_budget_is_reported_not_silently_truncated():
     )
     with pytest.raises(BudgetExceeded) as exc:
         construct(spec, BuildOptions(max_states=2))
-    assert "budget" in str(exc.value)
+    assert str(exc.value).startswith("state budget of 2 exhausted after 2 states and ")
     assert exc.value.automaton.n_states == 2
 
 
 def test_transition_budget_is_reported():
     spec = generate(individuals=4, actions=4, clauses=3, max_depth=3, seed=3)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as exc:
         construct(spec, BuildOptions(max_transitions=10))
+    # The reason says how far the run got.
+    states = exc.value.automaton.n_states
+    assert exc.value.reason == (
+        f"transition budget of 10 exhausted after {states} states and 10 transitions"
+    )
 
 
 # ---------------------------------------------------------------------------
