@@ -6,8 +6,9 @@ deterministic depth-first exploration.  A residual depends only on which of
 its state's leaf tests a step makes true, so each state gets one step per
 satisfiable valuation of those tests (the minterms of a symbolic automaton):
 the valuation's first subset of ``relevant_universe`` in largest-first
-order.  The residual for each step is computed, and structurally equal
-residuals are shared.
+order.  Steps are built as they are drawn, so the state and transition
+budgets bound the work however many valuations a state has.  The residual
+for each step is computed, and structurally equal residuals are shared.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from itertools import combinations, product
 from typing import Callable, Iterator
 
@@ -23,10 +25,8 @@ from .decompose import (
     decompose,
     deontic_tags,
     prepare,
-    trigger_matched,
 )
 from .formula import (
-    GLOBAL,
     ActionName,
     And,
     Atom,
@@ -221,38 +221,96 @@ def relevant_universe(
     return tested | _spare(tested, individuals, actions) if wildcard else tested
 
 
-def _name_witnesses(
-    name: ActionName, rels: dict, individuals: frozenset[Individual]
-) -> tuple[frozenset, list[frozenset]]:
-    """The actions one name's tests span, and its largest step for each
-    satisfiable valuation of the tests that decide.
+class _Parts:
+    """A stream of steps in falling key order, kept in ``items`` as
+    ``(key, step)`` pairs as far as it has been read."""
 
-    A valuation's step is every action that matches no false performer or
-    directed test.  A false global test then drops the row of one sender no
-    true test pins: the row with the fewest actions left, the greatest
-    sender on ties, which keeps the smaller indices.  That is the
-    valuation's first step in largest-first order.  A valuation its step
-    does not meet is unsatisfiable and skipped.
+    __slots__ = ("items", "more", "rank")
+
+    def __init__(self, more: Iterator[frozenset], rank: Callable[[frozenset], int]):
+        self.items: list = []
+        self.more = more
+        self.rank = rank
+
+    def has(self, index: int) -> bool:
+        while len(self.items) <= index:
+            step = next(self.more, None)
+            if step is None:
+                return False
+            self.items.append((self.rank(step), step))
+        return True
+
+
+def _descending_unions(
+    streams: list[Iterator[frozenset]], rank: Callable[[frozenset], int]
+) -> Iterator[tuple[int, tuple]]:
+    """Every choice of one step per stream, each stream in falling key
+    order, as ``(key sum, chosen steps)``, largest sum first.
+
+    A choice comes after every choice that takes an earlier step somewhere.
+    A popped choice advances only at and after the stream it last advanced,
+    which pushes each choice once, from the choice one step before it there.
     """
-    atom = Atom(name)
-    matches = {rel: frozenset(_compatible(rel, name, individuals)) for rel in rels}
-    universe = frozenset().union(*matches.values())
-    deciding = [rel for rel, decides in rels.items() if decides]
-    out = []
-    for mask in range(1 << len(deciding)):
-        true = [rel for k, rel in enumerate(deciding) if mask >> k & 1]
-        false = [rel for k, rel in enumerate(deciding) if not mask >> k & 1]
-        step = universe.difference(*(matches[rel] for rel in false if not rel.is_global))
-        if GLOBAL in false:
-            pinned = {rel.sender for rel in true}
-            free = [s for s in individuals if s not in pinned]
-            if free:
-                drop = max(free, key=lambda s: (-sum(a.sender == s for a in step), s))
-                step = frozenset(a for a in step if a.sender != drop)
-        if all(trigger_matched(rel, atom, step, individuals) for rel in true) and not any(
-                trigger_matched(rel, atom, step, individuals) for rel in false):
-            out.append(step)
-    return universe, out
+    if len(streams) == 1:
+        for step in streams[0]:
+            yield rank(step), (step,)
+        return
+    sources = [_Parts(stream, rank) for stream in streams]
+    if not all(source.has(0) for source in sources):
+        return
+    heap = [(-sum(source.items[0][0] for source in sources), (0,) * len(sources), 0)]
+    while heap:
+        negated, choice, last = heappop(heap)
+        yield -negated, tuple(sources[j].items[i][1] for j, i in enumerate(choice))
+        for j in range(last, len(sources)):
+            source, index = sources[j], choice[j] + 1
+            if source.has(index):
+                heappush(heap, (negated + source.items[index - 1][0] - source.items[index][0],
+                                choice[:j] + (index,) + choice[j + 1:], j))
+
+
+def _subsets(actions: list) -> Iterator[frozenset]:
+    """Every subset of sorted ``actions``, in ``combinations`` order."""
+    for size in range(len(actions), -1, -1):
+        for subset in combinations(actions, size):
+            yield frozenset(subset)
+
+
+def _row_steps(row: list, toggled: set, performer: bool) -> list[frozenset]:
+    """One sender's steps on one name, in falling key order: the row's
+    actions without a deciding directed test with any subset of those with
+    one, then the empty row when a performer test decides.  The last step
+    is the row's step with all of its tests false."""
+    fixed = frozenset(a for a in row if a not in toggled)
+    steps = [fixed | part for part in _subsets([a for a in row if a in toggled])]
+    if performer and fixed:
+        steps.append(frozenset())
+    return steps
+
+
+def _global_steps(rows: list[list], rank: Callable[[frozenset], int]) -> Iterator[frozenset]:
+    """A name with a deciding global test, in falling key order.
+
+    Each choice of row steps (one per sender, in sender order) makes the
+    global test true when no row is empty.  It makes it false once the row
+    of one free sender, whose row step has all its tests false, is dropped:
+    the row with the fewest actions, the greatest sender on ties, which
+    keeps the smaller indices.  Dropping lowers the key, so a false-global
+    step waits in ``pending`` until no later choice can outrank it.
+    """
+    pending: list = []
+    for key, parts in _descending_unions([iter(row) for row in rows], rank):
+        while pending and -pending[0][0] > key:
+            yield heappop(pending)[1]
+        step = frozenset().union(*parts)
+        if all(parts):
+            yield step
+        free = [j for j, part in enumerate(parts) if part is rows[j][-1]]
+        if free:
+            drop = max(free, key=lambda j: (-len(parts[j]), j))
+            heappush(pending, (rank(parts[drop]) - key, step - parts[drop]))
+    while pending:
+        yield heappop(pending)[1]
 
 
 def _witnesses(
@@ -260,34 +318,72 @@ def _witnesses(
     wildcard: bool,
     individuals: frozenset[Individual],
     actions: frozenset[ActionName],
-    tables: dict,
-) -> list[frozenset]:
-    """One step per satisfiable valuation of a state's leaf tests, in the
-    order ``combinations`` over the sorted relevant universe reaches each
-    valuation first: by size, then by index tuple, which for steps of one
-    size orders them as their sorted actions do.
+) -> Iterator[frozenset]:
+    """One step per satisfiable valuation of a state's deciding leaf
+    tests, in the order ``combinations`` over the sorted relevant universe
+    first reaches each valuation: by size, then by index tuple.
 
-    The steps are the products of the per-name ones (see
-    ``_name_witnesses``, kept in ``tables`` by test set), with the spare
-    action added when a wildcard test is true and the empty step for a
-    false one.
+    A valuation's step is every relevant action that matches no false
+    performer or directed test, less, for a false global test, one free
+    sender's row (see ``_global_steps``).  It splits into independent
+    parts: the actions no test decides, which every step holds; the
+    actions with only a directed test, free to come and go; the row of
+    each sender with a deciding performer test (see ``_row_steps``); and
+    each name with a deciding global test.  A step's key, its size above
+    one bit per action with the least action highest, orders steps as
+    ``combinations`` does and adds up over parts, so the steps of several
+    parts come lazily from ``_descending_unions``.  The spare action joins
+    every nonempty step when a wildcard is tested, and the empty step
+    comes last.
     """
-    steps = [frozenset()]
-    tested = frozenset()
+    tested = sorted({a for name, rels in tests.items()
+                     for rel in rels for a in _compatible(rel, name, individuals)})
+    bits = {a: 1 << k for k, a in enumerate(reversed(tested))}
+
+    def rank(step: frozenset) -> int:
+        return (len(step) << len(tested)) + sum(map(bits.__getitem__, step))
+
+    rows: dict[ActionName, dict[Individual, list]] = {}
+    for a in tested:
+        rows.setdefault(a.action, {}).setdefault(a.sender, []).append(a)
+    kept, toggles, streams = [], [], []
     for name, rels in tests.items():
-        key = (name, frozenset(rels.items()))
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = _name_witnesses(name, rels, individuals)
-        universe, per_name = table
-        tested |= universe
-        steps = [s | t for s in steps for t in per_name]
+        toggled, performers, global_test = set(), set(), False
+        for rel, decides in rels.items():
+            if not decides:
+                continue
+            if rel.is_directed:
+                toggled.add(RelativizedAction(rel.sender, name, rel.receiver))
+            elif rel.is_performer:
+                performers.add(rel.sender)
+            else:
+                global_test = True
+        if global_test:
+            streams.append(_global_steps([_row_steps(row, toggled, sender in performers)
+                                          for sender, row in rows[name].items()], rank))
+            continue
+        for sender, row in rows[name].items():
+            if sender in performers:
+                streams.append(iter(_row_steps(row, toggled, True)))
+            else:
+                for a in row:
+                    (toggles if a in toggled else kept).append(a)
+    if toggles:
+        streams.append(_subsets(sorted(toggles)))
+    if len(streams) == 1:
+        steps = streams[0]
+    else:
+        steps = (frozenset().union(*parts) for _, parts in _descending_unions(streams, rank))
+    base = frozenset(kept)
+    extra = _spare(frozenset(tested), individuals, actions) if wildcard else frozenset()
+    for step in steps:
+        step = step | base if base else step
+        if not wildcard:
+            yield step
+        elif step or extra:
+            yield step | extra
     if wildcard:
-        extra = _spare(tested, individuals, actions)
-        steps = [s | extra for s in steps if s or extra]
-        steps.append(frozenset())
-    steps.sort(key=lambda s: (-len(s), sorted(s)))
-    return steps
+        yield frozenset()
 
 
 def enumerate_action_sets(
@@ -295,8 +391,6 @@ def enumerate_action_sets(
     individuals: frozenset[Individual],
     options: BuildOptions = BuildOptions(),
     actions: frozenset[ActionName] = frozenset(),
-    *,
-    tables: dict | None = None,
 ) -> Iterator[frozenset]:
     """Candidate concurrent action sets for one state, largest first.
 
@@ -304,21 +398,21 @@ def enumerate_action_sets(
     leaf tests (see ``_witnesses``): the first subset of
     ``relevant_universe`` in largest-first order that makes exactly those
     tests true, so each residual is reached by the same first step as a
-    walk over every subset would reach it.  ``tables``, shared by the
-    states of one construction, keeps the per-name steps of each distinct
-    test set.  Under ``options.no_pruning`` it is the concrete reference
-    instead: every subset of the full universe over ``actions``, by size
-    and then in the serialization order of the sorted universe.  Either
-    way a set that is produced empty comes last.
+    walk over every subset would reach it.  The sets are built as they are
+    drawn, so a budget stops the walk whatever the number of valuations.
+    Under ``options.no_pruning`` it is the concrete reference instead:
+    every subset of the full universe over ``actions``, by size and then
+    in the serialization order of the sorted universe.  Either way a set
+    that is produced empty comes last.
     """
     if options.no_pruning:
         universe = sorted(relativized_universe(individuals, actions))
-        return (frozenset(subset)
-                for size in range(len(universe), -1, -1)
-                for subset in combinations(universe, size))
+        for size in range(len(universe), -1, -1):
+            for subset in combinations(universe, size):
+                yield frozenset(subset)
+        return
     tests, wildcard = _leaf_tests(formula)
-    return iter(_witnesses(tests, wildcard, individuals, actions,
-                           tables if tables is not None else {}))
+    yield from _witnesses(tests, wildcard, individuals, actions)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +471,6 @@ def construct(
         transitions.append(Transition(source, label, target))
 
     stack: list[tuple[int, Iterator[frozenset]]] = []
-    tables: dict = {}
 
     def new_state(formula: Formula) -> int:
         if len(formulas) >= options.max_states:
@@ -405,7 +498,7 @@ def construct(
             add_transition(sid, SpecialLabel.VIOLATION_LOOP, sid)
         else:
             stack.append((sid, enumerate_action_sets(
-                formula, individuals, options, spec.actions, tables=tables)))
+                formula, individuals, options, spec.actions)))
 
     try:
         root = prepare(spec.root())

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +21,7 @@ from rclcheck import (
     Dynamic,
     Negation,
     Obligation,
+    Permission,
     Prohibition,
     RelativizedAction,
     SpecialLabel,
@@ -38,6 +39,7 @@ from rclcheck import (
     oracle_verdict,
     parse_or_raise,
     performer,
+    prepare,
     relativized_universe,
     relevant_universe,
     trace_to,
@@ -166,6 +168,24 @@ def test_false_global_test_drops_the_emptiest_unpinned_row():
     ]
 
 
+def test_false_global_step_keeps_its_place_among_true_ones():
+    individuals = frozenset({"i", "j"})
+    formula = conj(Obligation(GLOBAL, Atom("a")), Obligation(directed("i", "i"), Atom("a")),
+                   Obligation(directed("j", "i"), Atom("a")))
+    ii, ij, ji, jj = (ra(s, "a", r) for s, r in ("ii", "ij", "ji", "jj"))
+    assert list(enumerate_action_sets(formula, individuals)) == [
+        {ii, ij, ji, jj},   # all true
+        {ii, ij, jj},       # (j,a,i) false
+        {ij, ji, jj},       # (i,a,i) false
+        # Global false, (i,a,i) true: j's row goes.  The step is built from
+        # the second one, but comes after the third and before the next.
+        {ii, ij},
+        {ij, jj},           # global true, both directed tests false
+        {ji, jj},           # global false, (j,a,i) true: i's row goes
+        {ij},               # all false: the rows tie and j's goes
+    ]
+
+
 def test_performer_witness_holds_every_receiver():
     individuals = frozenset({"i", "j", "k"})
     formula = Obligation(performer("i"), Atom("a"))
@@ -268,6 +288,64 @@ def test_pruned_verdict_matches_concrete_mode(n_actions, clauses, seed):
     concrete = check(spec, BuildOptions(no_pruning=True, **budget))
     assume(concrete.kind is not VerdictKind.INCONCLUSIVE)
     assert check(spec, BuildOptions(**budget)).kind is concrete.kind
+
+
+RELS = [GLOBAL, performer("i"), performer("j"), directed("i", "i"), directed("i", "j"),
+        directed("j", "i"), directed("j", "j"), directed("k", "i")]
+LEAVES = [
+    lambda rel, a: Obligation(rel, a),
+    lambda rel, a: Prohibition(rel, a),
+    lambda rel, a: Permission(rel, a),
+    lambda rel, a: Dynamic(rel, a, Obligation(GLOBAL, Atom("c"))),
+    lambda rel, a: Dynamic(rel, Negation(a), Obligation(GLOBAL, Atom("c"))),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3), st.lists(st.tuples(st.sampled_from(RELS), st.sampled_from("ab"),
+                                             st.integers(0, len(LEAVES) - 1)),
+                                   min_size=1, max_size=6))
+def test_witnesses_of_drawn_leaf_tests(n_individuals, leaves):
+    # Global, performer and directed tests mixed on one or two names, so a
+    # global test meets performer rows and directed cells of its own name.
+    individuals = frozenset("ijk"[:n_individuals])
+    leaves = [(rel, name, kind) for rel, name, kind in leaves
+              if rel.is_global or rel.sender in individuals]
+    assume(leaves)
+    formula = prepare(conj(*(LEAVES[kind](rel, Atom(name)) for rel, name, kind in leaves)))
+    actions = frozenset("abc")
+    assume(len(relevant_universe(formula, individuals, actions)) <= 10)
+    witnesses = list(enumerate_action_sets(formula, individuals, BuildOptions(), actions))
+    assert witnesses == first_step_per_valuation(formula, individuals, actions)
+
+
+def test_witnesses_are_drawn_lazily():
+    # 2**40 valuations on distinct names, and 2**37 on one name with a
+    # global test: only the steps that are read get built.
+    individuals = frozenset({"i", "j"})
+    names = [f"a{k:02}" for k in range(40)]
+    formula = conj(*(Obligation(directed("i", "j"), Atom(name)) for name in names))
+    everything = frozenset(ra("i", name, "j") for name in names)
+    assert list(islice(enumerate_action_sets(formula, individuals), 3)) == [
+        everything, everything - {ra("i", "a39", "j")}, everything - {ra("i", "a38", "j")}
+    ]
+    individuals = frozenset(f"i{k}" for k in range(6))
+    formula = conj(Obligation(GLOBAL, Atom("a")),
+                   *(Obligation(directed(s, r), Atom("a")) for s in individuals for r in individuals))
+    grid = rows("a", sorted(individuals), individuals)
+    assert list(islice(enumerate_action_sets(formula, individuals), 2)) == [
+        grid, grid - {ra("i5", "a", "i5")}
+    ]
+
+
+@pytest.mark.parametrize("text", [
+    "".join(f"{{i,j}}O(a{k}); " for k in range(30)),
+    "O(a); " + "".join(f"{{i{s},i{r}}}O(a); " for s in range(5) for r in range(4)),
+], ids=["30 names", "one name"])
+def test_transition_budget_stops_a_state_with_many_valuations(text):
+    verdict = check(parse_or_raise(text), BuildOptions(max_transitions=1_000))
+    assert verdict.kind is VerdictKind.INCONCLUSIVE
+    assert verdict.reason.startswith("transition budget of 1000 exhausted after ")
 
 
 def test_no_pruning_enumeration_order():
