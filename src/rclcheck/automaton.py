@@ -7,8 +7,11 @@ its state's leaf tests a step makes true, so each state gets one step per
 satisfiable valuation of those tests (the minterms of a symbolic automaton):
 the valuation's first subset of ``relevant_universe`` in largest-first
 order.  Steps are built as they are drawn, so the state and transition
-budgets bound the work however many valuations a state has.  The residual
-for each step is computed, and structurally equal residuals are shared.
+budgets bound the work however many valuations a state has.  Each state is
+compiled once into a step table (see ``decompose._table``) whose exposed
+bodies and reparations are already in step normal form, prepared once per
+construction; a step's residual is read off that table with one lookup per
+leaf test, and structurally equal residuals are shared.
 """
 from __future__ import annotations
 
@@ -22,7 +25,9 @@ from typing import Callable, Iterator
 
 from .decompose import (
     RelativizedAction,
-    decompose,
+    _apply,
+    _table,
+    decompose,  # the per-step reference the tables reproduce; perfbench traces it here
     deontic_tags,
     prepare,
 )
@@ -41,6 +46,7 @@ from .formula import (
     Relativization,
     Top,
     XChoice,
+    join,
 )
 
 
@@ -437,6 +443,11 @@ def construct(
 ) -> ContractAutomaton:
     """Build the automaton of a contract by repeated decomposition.
 
+    Each state is compiled into its step table when it is visited, with
+    every exposed body and reparation put through ``prepare`` once per
+    construction, so a step's residual, ``prepare(decompose(state, step))``,
+    is the table's leaf outcomes joined canonically (see ``formula.join``).
+    Every step is checked against the relativized-action universe once.
     ``on_state`` runs on every state as soon as it is labelled, before its
     successors are explored; returning True marks the state as conflicting
     and, unless ``options.complete`` is set, halts the construction there.
@@ -444,6 +455,17 @@ def construct(
     budget runs out.
     """
     individuals = spec.effective_individuals
+    # Plain tuples: a RelativizedAction hashes and compares as its fields,
+    # and building named tuples would cost more than the checks they serve.
+    universe = frozenset(product(individuals, spec.actions, individuals))
+    prepared: dict[Formula, Formula] = {}
+
+    def prepare_once(formula: Formula) -> Formula:
+        out = prepared.get(formula)
+        if out is None:
+            out = prepared[formula] = prepare(formula)
+        return out
+
     deadline = None
     if options.time_limit is not None:
         deadline = time.monotonic() + options.time_limit
@@ -470,7 +492,7 @@ def construct(
             raise _Budget(f"transition budget of {options.max_transitions}")
         transitions.append(Transition(source, label, target))
 
-    stack: list[tuple[int, Iterator[frozenset]]] = []
+    stack: list[tuple[int, Iterator[frozenset], tuple]] = []
 
     def new_state(formula: Formula) -> int:
         if len(formulas) >= options.max_states:
@@ -497,8 +519,8 @@ def construct(
             violation = sid
             add_transition(sid, SpecialLabel.VIOLATION_LOOP, sid)
         else:
-            stack.append((sid, enumerate_action_sets(
-                formula, individuals, options, spec.actions)))
+            stack.append((sid, enumerate_action_sets(formula, individuals, options, spec.actions),
+                          _table(formula, prepare_once)))
 
     try:
         root = prepare(spec.root())
@@ -506,12 +528,14 @@ def construct(
         while stack:
             if deadline is not None and time.monotonic() > deadline:
                 raise _Budget(f"time limit of {options.time_limit}s")
-            sid, sets = stack[-1]
+            sid, sets, table = stack[-1]
             step = next(sets, None)
             if step is None:
                 stack.pop()
                 continue
-            residual = prepare(decompose(formulas[sid], step, individuals, spec.actions))
+            if not step <= universe:
+                raise ValueError(f"step outside the alphabet: {sorted(step - universe)!r}")
+            residual = _apply(table, step, individuals, join)
             target = state_ids.get(residual)
             if target is not None:
                 add_transition(sid, step, target)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .formula import (
     BOTTOM,
@@ -258,49 +258,107 @@ def decompose(
 
     The formula must already be in step normal form (see ``prepare``):
     every test is on a basic action, ``1`` or ``0``, and iteration has been
-    unfolded, so a raw ``Star`` trigger raises ``ValueError``.  The outcome
-    therefore depends only on which of those leaf tests the step makes true,
-    which is what lets ``relevant_universe`` prune the steps of a state.
-    The residual has its constants folded (see ``fold``), so a breached
-    conjunct or a discharged alternative ends the walk over its siblings,
-    but it is not canonical: bodies and reparations exposed by the step are
-    returned as written, and the caller applies ``prepare``, the step normal
-    form, before the next step.
+    unfolded.  The outcome therefore depends only on which of those leaf
+    tests the step makes true, which is what lets ``relevant_universe``
+    prune the steps of a state.  The formula is compiled whole into a step
+    table (see ``_table``) before the step is applied, so a compound test
+    or a raw ``Star`` trigger raises ``ValueError`` even behind a breached
+    sibling.  The residual has its constants folded (see ``fold``), but it
+    is not canonical: bodies and reparations exposed by the step are
+    returned as written, and the caller applies ``prepare``, the step
+    normal form, before the next step.
     """
     for act in step:
         if act.sender not in individuals or act.receiver not in individuals:
             raise ValueError(f"unknown individual in step: {act!r}")
         if actions is not None and act.action not in actions:
             raise ValueError(f"unknown action in step: {act!r}")
+    return _apply(_table(formula, _same), step, individuals, fold)
 
-    def go(f: Formula) -> Formula:
-        if isinstance(f, (Top, Bottom)):
-            return f
-        if isinstance(f, (And, XChoice)):
-            return fold(type(f), (go(c) for c in f.children))
-        if isinstance(f, Permission):
-            # Permissions impose nothing on the trace; they only label states.
-            return TOP
-        if isinstance(f, Obligation):
-            if trigger_matched(f.rel, f.action, step, individuals):
-                return TOP
-            return f.reparation if f.reparation is not None else BOTTOM
-        if isinstance(f, Prohibition):
-            if trigger_matched(f.rel, f.action, step, individuals):
-                return f.reparation if f.reparation is not None else BOTTOM
-            return TOP
-        if isinstance(f, Dynamic):
-            trig = f.trigger
-            if isinstance(trig, Negation):
-                if trigger_matched(f.rel, trig.inner, step, individuals):
-                    return TOP
-                return f.body
-            if trigger_matched(f.rel, trig, step, individuals):
-                return f.body
-            return TOP
-        raise TypeError(f"not a formula: {f!r}")
 
-    return go(formula)
+def _same(formula: Formula) -> Formula:
+    return formula
+
+
+# A leaf's test: a directed ``RelativizedAction``, a performer's
+# ``(sender, name)``, a global test's name, or one of these two.
+_WILDCARD = True
+_NEVER = False
+
+
+def _test(rel: Relativization, action: ActionExpr):
+    """What a leaf asks of a step, in the form ``_apply`` looks up: the
+    question ``trigger_matched`` answers, resolved before any step."""
+    if isinstance(action, ZeroAction):
+        return _NEVER
+    if isinstance(action, OneAction):
+        return _WILDCARD
+    if not isinstance(action, Atom):
+        raise ValueError(f"compound action reached the matcher: {action!r}")
+    if rel.is_global:
+        return action.name
+    if rel.is_performer:
+        return (rel.sender, action.name)
+    return RelativizedAction(rel.sender, action.name, rel.receiver)
+
+
+def _table(formula: Formula, outcome: Callable[[Formula], Formula]) -> tuple:
+    """Compile a normal-form formula into its step table.
+
+    The table keeps the formula's ``And``/``XChoice`` spine as
+    ``(kind, children)`` and turns each leaf into ``(test, if true, if
+    false)``, where the two outcomes are what the leaf becomes when a step
+    makes its test true or false (see ``_test``).  Bodies and reparations
+    go through ``outcome`` once, here, so a caller can hand in their step
+    normal form; constants and permissions never change and test nothing.
+    """
+    if isinstance(formula, (And, XChoice)):
+        return type(formula), tuple(_table(c, outcome) for c in formula.children)
+    if isinstance(formula, (Top, Bottom)):
+        return _NEVER, formula, formula
+    if isinstance(formula, Permission):
+        # Permissions impose nothing on the trace; they only label states.
+        return _NEVER, TOP, TOP
+    if isinstance(formula, (Obligation, Prohibition)):
+        rep = BOTTOM if formula.reparation is None else outcome(formula.reparation)
+        test = _test(formula.rel, formula.action)
+        return (test, TOP, rep) if isinstance(formula, Obligation) else (test, rep, TOP)
+    if isinstance(formula, Dynamic):
+        trig, body = formula.trigger, outcome(formula.body)
+        if isinstance(trig, Negation):
+            return _test(formula.rel, trig.inner), TOP, body
+        return _test(formula.rel, trig), body, TOP
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def _apply(
+    table: tuple,
+    step: frozenset,
+    individuals: frozenset[Individual],
+    combine: Callable[[type, Iterator[Formula]], Formula],
+) -> Formula:
+    """The residual of a step table after ``step``: each leaf's outcome,
+    joined up its spine by ``combine`` (``fold``, or ``join`` for a
+    canonical residual).  Children are drawn lazily, so a ``combine`` that
+    stops at an absorbing child skips the rest."""
+    pairs = {(a.sender, a.action) for a in step}
+
+    def go(node: tuple) -> Formula:
+        if len(node) == 2:
+            return combine(node[0], map(go, node[1]))
+        test, if_true, if_false = node
+        kind = type(test)
+        if kind is RelativizedAction:
+            holds = test in step
+        elif kind is tuple:
+            holds = test in pairs
+        elif kind is str:
+            holds = all((i, test) in pairs for i in individuals)
+        else:
+            holds = test is _WILDCARD and bool(step)
+        return if_true if holds else if_false
+
+    return go(table)
 
 
 # ---------------------------------------------------------------------------

@@ -390,15 +390,24 @@ def canonicalize(formula: Formula) -> Formula:
             return formula
         return Dynamic(formula.rel, formula.trigger, body)
     if isinstance(formula, (And, XChoice)):
-        kind = type(formula)
-        joined = fold(kind, (canonicalize(c) for c in formula.children))
-        if not isinstance(joined, kind):
-            return joined
-        parts = {
-            g for c in joined.children for g in (c.children if isinstance(c, kind) else (c,))
-        }
-        return fold(kind, sorted(parts, key=Formula.sort_key))
+        return join(type(formula), (canonicalize(c) for c in formula.children))
     raise TypeError(f"not a formula: {formula!r}")
+
+
+def join(kind: type[And] | type[XChoice], children: Iterable[Formula]) -> Formula:
+    """Canonical conjunction or choice of canonical ``children``.
+
+    Folds constants (see ``fold``), flattens children of the same kind one
+    level, drops duplicates and sorts, so the result is canonical whenever
+    the children are.  ``children`` may be a lazy generator.
+    """
+    joined = fold(kind, children)
+    if not isinstance(joined, kind):
+        return joined
+    parts = {
+        g for c in joined.children for g in (c.children if isinstance(c, kind) else (c,))
+    }
+    return fold(kind, sorted(parts, key=Formula.sort_key))
 
 
 # ---------------------------------------------------------------------------

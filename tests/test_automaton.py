@@ -33,6 +33,7 @@ from rclcheck import (
     check,
     conj,
     construct,
+    decompose,
     directed,
     enumerate_action_sets,
     export_dot,
@@ -42,11 +43,13 @@ from rclcheck import (
     prepare,
     relativized_universe,
     relevant_universe,
+    run_check,
     trace_to,
 )
 from rclcheck.decompose import trigger_matched
 from rclcheck.generator import generate
 
+from conftest import CONTRACTS
 from dot_grammar import validate_dot
 
 
@@ -412,6 +415,49 @@ def test_construction_is_deterministic():
     second = construct(spec)
     assert first.formulas == second.formulas
     assert first.transitions == second.transitions
+
+
+def assert_transitions_follow_decompose(spec, options):
+    # The step tables must reproduce the public one-step semantics exactly.
+    automaton = run_check(spec, options).automaton
+    individuals = spec.effective_individuals
+    for tr in automaton.transitions:
+        if isinstance(tr.label, SpecialLabel):
+            continue
+        source, target = automaton.formulas[tr.source], automaton.formulas[tr.target]
+        assert prepare(decompose(source, tr.label, individuals, spec.actions)) == target
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_individuals=st.integers(1, 3), n_actions=st.integers(1, 3),
+       clauses=st.integers(1, 2), seed=st.integers(0, 10**6), no_pruning=st.booleans())
+def test_each_transition_is_the_prepared_decomposition(n_individuals, n_actions, clauses, seed,
+                                                       no_pruning):
+    spec = generate(individuals=n_individuals, actions=n_actions, clauses=clauses,
+                    max_depth=3, seed=seed)
+    options = BuildOptions(complete=True, no_pruning=no_pruning, max_states=60,
+                           max_transitions=1_000)
+    assert_transitions_follow_decompose(spec, options)
+
+
+def test_construct_rejects_a_step_outside_the_alphabet(monkeypatch):
+    import rclcheck.automaton as automaton
+
+    monkeypatch.setattr(automaton, "enumerate_action_sets",
+                        lambda *args: iter([frozenset({ra("i", "zz", "i")})]))
+    with pytest.raises(ValueError, match="step outside the alphabet"):
+        construct(parse_or_raise("O(a);"))
+
+
+@pytest.mark.parametrize("name, complete", [
+    ("sales-contract.rcl", False), ("sales-contract.rcl", True),
+    ("sales-contract-amended.rcl", False),
+    ("simple-example.rcl", False), ("simple-example.rcl", True),
+], ids=["sales-first", "sales-complete", "amended-first", "simple-first", "simple-complete"])
+def test_fixture_transitions_are_the_prepared_decomposition(name, complete):
+    spec = parse_or_raise((CONTRACTS / name).read_text())
+    options = BuildOptions(complete=complete, max_states=20_000, max_transitions=20_000)
+    assert_transitions_follow_decompose(spec, options)
 
 
 def test_every_enumerated_set_appears_exactly_once():

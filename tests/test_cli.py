@@ -3,9 +3,13 @@ from __future__ import annotations
 import csv
 import io
 import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rclcheck import generate, render
 from rclcheck.cli import main
 
 from conftest import CONTRACTS
@@ -257,3 +261,48 @@ def test_bench_csv_output(capsys):
         assert row["verdict"] in ("conflict-free", "conflicts", "inconclusive")
         assert row["finished"] in ("True", "False")
         assert (row["finished"] == "False") == (row["verdict"] == "inconclusive")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every input ends in a verdict or a diagnostic, never a crash
+
+TOKENS = sorted({"conflict", "global", "relativized", "O", "P", "F", "true", "false",
+                 "{", "}", "(", ")", "[", "]", ",", ";", "^", "&", ".", "+", "!", "*",
+                 "(+)", "_/", "/_", "0", "1", "a", "b", "i", "j", "x1", "// note\n",
+                 " ", "\n"})
+token_soup = st.lists(st.sampled_from(TOKENS), max_size=40).map("".join)
+LEXEME = re.compile(r"\(\+\)|_/|/_|[A-Za-z][A-Za-z0-9_]*|\s+|.")
+
+
+@st.composite
+def mutated_contracts(draw):
+    # Soup alone seldom parses; a few token edits of a generated contract
+    # reach the checker with odd but well-formed input much more often.
+    spec = generate(individuals=draw(st.integers(1, 3)), actions=draw(st.integers(1, 3)),
+                    clauses=draw(st.integers(1, 3)), max_depth=3,
+                    seed=draw(st.integers(0, 10**6)))
+    lexemes = LEXEME.findall(render(spec))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lexemes)))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        if edit != "insert" and at < len(lexemes):
+            del lexemes[at]
+        if edit != "delete":
+            lexemes.insert(at, draw(st.sampled_from(TOKENS)))
+    return "".join(lexemes)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "contract.rcl"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(token_soup, mutated_contracts(), st.text(max_size=80)))
+def test_cli_exit_codes_are_total(fuzz_path, text):
+    fuzz_path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(fuzz_path), "--budget", "200"])
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -245,6 +245,28 @@ def test_decompose_rejects_unknown_step_symbols():
         decompose(TOP, frozenset({ra("i", "zz", "i")}), INDS, actions=frozenset({"a"}))
 
 
+@pytest.mark.parametrize("act", [ra("k", "a", "j"), ra("i", "a", "k")], ids=["sender", "receiver"])
+def test_decompose_rejects_a_step_with_an_unknown_individual(act):
+    with pytest.raises(ValueError, match="unknown individual in step"):
+        decompose(Obligation(IJ, A), frozenset({ra("i", "a", "j"), act}), INDS)
+
+
+def test_decompose_rejects_a_step_with_an_unknown_action():
+    step = frozenset({ra("i", "a", "j"), ra("i", "z", "j")})
+    with pytest.raises(ValueError, match="unknown action in step"):
+        decompose(Obligation(IJ, A), step, INDS, actions=frozenset({"a"}))
+    # Without an action alphabet, any action name is accepted.
+    assert decompose(Obligation(IJ, A), step, INDS) == TOP
+
+
+def test_decompose_compiles_the_whole_formula_first():
+    # A compound test raises even where a breached sibling decides the
+    # residual, because the step table is built whole before the step.
+    raw = conj(Obligation(IJ, A), Dynamic(I, Star(B), Obligation(I, C)))
+    with pytest.raises(ValueError, match="compound action"):
+        decompose(raw, frozenset(), INDS)
+
+
 # ---------------------------------------------------------------------------
 # deontic_tags
 
