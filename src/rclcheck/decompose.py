@@ -341,21 +341,25 @@ def _apply(
     joined up its spine by ``combine`` (``fold``, or ``join`` for a
     canonical residual).  Children are drawn lazily, so a ``combine`` that
     stops at an absorbing child skips the rest."""
-    pairs = {(a.sender, a.action) for a in step}
+    pairs: set | None = None  # built when a performer or global test is first read
 
     def go(node: tuple) -> Formula:
+        nonlocal pairs
         if len(node) == 2:
             return combine(node[0], map(go, node[1]))
         test, if_true, if_false = node
         kind = type(test)
         if kind is RelativizedAction:
             holds = test in step
-        elif kind is tuple:
-            holds = test in pairs
-        elif kind is str:
-            holds = all((i, test) in pairs for i in individuals)
-        else:
+        elif kind is bool:
             holds = test is _WILDCARD and bool(step)
+        else:  # a performer's (sender, name) or a global test's name
+            if pairs is None:
+                pairs = {(a.sender, a.action) for a in step}
+            if kind is tuple:
+                holds = test in pairs
+            else:
+                holds = all((i, test) in pairs for i in individuals)
         return if_true if holds else if_false
 
     return go(table)

@@ -9,19 +9,11 @@ deduplication.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 Individual = str
 ActionName = str
-
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-
-
-def is_identifier(name: str) -> bool:
-    """True if ``name`` is a legal individual or action identifier."""
-    return bool(_IDENT_RE.match(name))
 
 
 class _Keyed:

@@ -17,7 +17,9 @@ from .conflicts import Clash, search_conflicts
 from .decompose import (
     DeonticOp,
     DeonticTag,
-    decompose,
+    _apply,
+    _same,
+    _table,
     deontic_tags,
     prepare,
     trigger_matched,
@@ -37,6 +39,7 @@ from .formula import (
     Prohibition,
     Top,
     XChoice,
+    fold,
 )
 
 ActionTrace = tuple  # of frozenset[RelativizedAction]
@@ -171,7 +174,8 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
     Every action trace up to ``max_len`` over the per-residual relevant
     actions (plus the empty step) is tried depth-first from the root; each
     residual's deontic groups are searched for a clash.  Only practical on
-    small alphabets; bounds are enforced.
+    small alphabets; bounds are enforced.  Each residual is compiled once
+    into its step table, which every subset is then applied to.
 
     Every subset of ``relevant_universe`` is a step here, so the engine's
     enumerator, one witness step per valuation of a state's leaf tests, is
@@ -197,12 +201,13 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
         if done.get(formula, -1) >= remaining:
             return None
         done[formula] = remaining
+        table = _table(formula, _same)
         universe = sorted(relevant_universe(formula, individuals, spec.actions))
         candidates = [frozenset()]
         for size in range(1, len(universe) + 1):
             candidates.extend(frozenset(c) for c in combinations(universe, size))
         for step in candidates:
-            residual = prepare(decompose(formula, step, individuals, spec.actions))
+            residual = prepare(_apply(table, step, individuals, fold))
             found = explore(residual, remaining - 1, prefix + (step,))
             if found is not None:
                 return found

@@ -18,7 +18,11 @@ insignificant outside identifiers.
 """
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 from .formula import (
     GLOBAL,
@@ -101,73 +105,41 @@ class RclSyntaxError(Exception):
 # Tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
-    line: int
-    col: int
+    offset: int
 
 
-_PUNCT = {"{", "}", "(", ")", "[", "]", ",", ";", "^", "&", ".", "+", "!", "*"}
-_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789_")
+# One pass of ``finditer`` over alternatives tried in order at each offset:
+# whitespace and ``//`` comments, the marks (longest first), words, and any
+# other single character, which is an error.
+_SCANNER = re.compile(
+    r"(?P<skip>[ \t\r\n]+|//[^\n]*)"
+    r"|(?P<punct>\(\+\)|_/|/_|[{}()\[\],;^&.+!*01])"
+    r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
-def _tokenize(text: str, diagnostics: list[ParseDiagnostic]) -> list[_Token]:
+def _tokenize(text: str, report: Callable[[str, int], None]) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start_col = col
-        if text.startswith("(+)", i):
-            tokens.append(_Token("(+)", "(+)", line, start_col))
-            i, col = i + 3, col + 3
-            continue
-        if text.startswith("_/", i):
-            tokens.append(_Token("_/", "_/", line, start_col))
-            i, col = i + 2, col + 2
-            continue
-        if text.startswith("/_", i):
-            tokens.append(_Token("/_", "/_", line, start_col))
-            i, col = i + 2, col + 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, start_col))
-            i, col = i + 1, col + 1
-            continue
-        if ch in "01":
-            tokens.append(_Token(ch, ch, line, start_col))
-            i, col = i + 1, col + 1
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            word = text[i:j]
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(_Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        diagnostics.append(
-            ParseDiagnostic("error", line, start_col, f"unknown token {ch!r}")
-        )
-        i, col = i + 1, col + 1
-    tokens.append(_Token("eof", "", line, col))
+    for match in _SCANNER.finditer(text):
+        group, value = match.lastgroup, match.group()
+        if group == "punct":
+            tokens.append(_Token(value, value, match.start()))
+        elif group == "word":
+            kind = value if value in KEYWORDS else "ident"
+            tokens.append(_Token(kind, value, match.start()))
+        elif group == "bad":
+            report(f"unknown token {value!r}", match.start())
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
+
+
+def _found(tok: _Token) -> str:
+    return repr(tok.value) if tok.kind != "eof" else "end of input"
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +151,37 @@ class _ParseAbort(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], diagnostics: list[ParseDiagnostic]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str, diagnostics: list[ParseDiagnostic]):
+        self.text = text
         self.diagnostics = diagnostics
+        self.tokens = _tokenize(text, partial(self.diagnose, "error"))
+        self.pos = 0
         self.depth = 0
+
+    # -- diagnostics -------------------------------------------------------
+
+    @cached_property
+    def newlines(self) -> list[int]:
+        return [i for i, ch in enumerate(self.text) if ch == "\n"]
+
+    def diagnose(self, severity: str, message: str, offset: int) -> None:
+        """Record a diagnostic at ``offset``; its line and column (from 1,
+        counting characters) are worked out here, from the newlines."""
+        line = bisect_left(self.newlines, offset)
+        column = offset - (self.newlines[line - 1] if line else -1)
+        self.diagnostics.append(ParseDiagnostic(severity, line + 1, column, message))
+
+    def error(self, message: str, tok: _Token | None = None) -> None:
+        self.diagnose("error", message, (tok or self.peek()).offset)
+        raise _ParseAbort
+
+    def warn(self, message: str, tok: _Token) -> None:
+        self.diagnose("warning", message, tok.offset)
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self, offset: int = 0) -> _Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -204,16 +197,8 @@ class _Parser:
     def expect(self, kind: str, what: str | None = None) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            self.error(f"expected {what or kind!r}, found {tok.value or 'end of input'!r}", tok)
+            self.error(f"expected {what or repr(kind)}, found {_found(tok)}", tok)
         return self.advance()
-
-    def error(self, message: str, tok: _Token | None = None) -> None:
-        tok = tok or self.peek()
-        self.diagnostics.append(ParseDiagnostic("error", tok.line, tok.col, message))
-        raise _ParseAbort
-
-    def warn(self, message: str, tok: _Token) -> None:
-        self.diagnostics.append(ParseDiagnostic("warning", tok.line, tok.col, message))
 
     def descend(self, tok: _Token) -> None:
         self.depth += 1
@@ -259,9 +244,7 @@ class _Parser:
             except _ParseAbort:
                 self.resync()
         if not clauses and not self.diagnostics:
-            self.diagnostics.append(
-                ParseDiagnostic("error", 1, 1, "contract has no clauses")
-            )
+            self.diagnose("error", "contract has no clauses", 0)
         if any(d.severity == "error" for d in self.diagnostics):
             return None
         return ContractSpec.from_clauses(clauses, conflicts)
@@ -325,11 +308,7 @@ class _Parser:
 
     def check_choice_operand(self, branch: Formula, tok: _Token) -> None:
         if self.choice_family(branch) is None:
-            self.diagnostics.append(ParseDiagnostic(
-                "error", tok.line, tok.col,
-                "clause choice applies only to obligation or permission clauses",
-            ))
-            raise _ParseAbort
+            self.error("clause choice applies only to obligation or permission clauses", tok)
 
     def choice_family(self, branch: Formula) -> str | None:
         """'O' or 'P' when every deontic leaf matches; None otherwise."""
@@ -376,7 +355,7 @@ class _Parser:
             return self.parse_deontic(rel)
         if tok.kind == "[":
             return self.parse_dynamic(rel)
-        self.error(f"expected a clause, found {tok.value or 'end of input'!r}", tok)
+        self.error(f"expected a clause, found {_found(tok)}", tok)
         raise AssertionError("unreachable")
 
     def parse_relativization(self) -> Relativization:
@@ -469,15 +448,14 @@ class _Parser:
             inner = self.nested(tok, self.parse_action, trigger)
             self.expect(")")
             return inner
-        self.error(f"expected an action, found {tok.value or 'end of input'!r}", tok)
+        self.error(f"expected an action, found {_found(tok)}", tok)
         raise AssertionError("unreachable")
 
 
 def parse(text: str) -> ParseResult:
     """Parse contract text; errors leave ``spec`` unset in the result."""
     diagnostics: list[ParseDiagnostic] = []
-    tokens = _tokenize(text, diagnostics)
-    spec = _Parser(tokens, diagnostics).parse_file()
+    spec = _Parser(text, diagnostics).parse_file()
     if any(d.severity == "error" for d in diagnostics):
         spec = None
     return ParseResult(spec, diagnostics)

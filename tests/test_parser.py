@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import ast
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclcheck import (
     Atom,
@@ -108,15 +112,31 @@ def test_render_omits_empty_header():
     assert render(spec) == "O(a);\n"
 
 
-def test_diagnostic_position_accuracy():
-    # a lone '$' is not a token; the diagnostic must point at it
-    text = "O(a) $ P(b);"
-    offset = text.index("$") + 1
-    result = parse(text)
-    assert not result.ok
-    diag = result.errors[0]
-    assert diag.line == 1
-    assert abs(diag.column - offset) <= 1
+@pytest.mark.parametrize(
+    "text, severity, line, column",
+    [
+        ("O(a) $ P(b);", "error", 1, 6),                    # a lone '$'
+        ("O(a);\n\t$P(b);", "error", 2, 2),                 # a tab is one column
+        ("O(a);\n// note\n  $ P(b);", "error", 3, 3),      # after a comment line
+        ("O(a);\r\nP(b);\r\n  $;", "error", 3, 3),          # CRLF line endings
+        ("O(a);\nO(b)", "error", 2, 5),                     # end of input, no ';'
+        ("O(a);\n  {i,i}O(b);", "warning", 2, 3),           # self-directed warning
+    ],
+    ids=["lone-char", "after-tab", "after-comment", "crlf", "end-of-input", "warning"],
+)
+def test_diagnostic_position_accuracy(text, severity, line, column):
+    diag = next(d for d in parse(text).diagnostics if d.severity == severity)
+    assert (diag.line, diag.column) == (line, column)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters() | st.sampled_from(list("O(a);{i,j}^_/ \t\r\n"))))
+def test_unknown_token_positions_point_at_the_token(text):
+    lines = text.split("\n")
+    for diag in parse(text).errors:
+        if diag.message.startswith("unknown token "):
+            token = ast.literal_eval(diag.message[len("unknown token "):])
+            assert lines[diag.line - 1][diag.column - 1] == token
 
 
 @pytest.mark.parametrize(
@@ -139,6 +159,23 @@ def test_errors(text):
     result = parse(text)
     assert not result.ok
     assert result.errors
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("O(a)", "expected ';' after a clause, found end of input"),
+        ("O(a) P(b);", "expected ';' after a clause, found 'P'"),
+        ("O(a", "expected ')', found end of input"),
+        ("O(;", "expected an action, found ';'"),
+        ("O(a) ^", "expected a clause, found end of input"),
+        ("{1}O(a);", "expected an individual, found '1'"),
+        ("conflict { global { (a, 1) }; }; O(a);", "expected an action name, found '1'"),
+        ("O(a) _/O(b)", "expected '/_' closing the reparation, found end of input"),
+    ],
+)
+def test_expected_token_messages(text, message):
+    assert parse(text).errors[0].message == message
 
 
 def test_error_recovery_reports_multiple_clauses():
