@@ -6,12 +6,13 @@ deterministic depth-first exploration.  A residual depends only on which of
 its state's leaf tests a step makes true, so each state gets one step per
 satisfiable valuation of those tests (the minterms of a symbolic automaton):
 the valuation's first subset of ``relevant_universe`` in largest-first
-order.  Steps are built as they are drawn, so the state and transition
-budgets bound the work however many valuations a state has.  Each state is
-compiled once into a step table (see ``decompose._table``) whose exposed
-bodies and reparations are already in step normal form, prepared once per
-construction; a step's residual is read off that table with one lookup per
-leaf test, and structurally equal residuals are shared.
+order.  The steps are a lazy product of the state's independent parts (see
+``_witnesses``), built as they are drawn, so the state and transition
+budgets bound the work however many valuations or parts a state has.  Each
+state is compiled once into a step table (see ``decompose._table``) whose
+exposed bodies and reparations are already in step normal form, prepared
+once per construction; a step's residual is read off that table with one
+lookup per leaf test, and structurally equal residuals are shared.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush
 from itertools import combinations, product
 from typing import Callable, Iterator
 
@@ -227,54 +227,6 @@ def relevant_universe(
     return tested | _spare(tested, individuals, actions) if wildcard else tested
 
 
-class _Parts:
-    """A stream of steps in falling key order, kept in ``items`` as
-    ``(key, step)`` pairs as far as it has been read."""
-
-    __slots__ = ("items", "more", "rank")
-
-    def __init__(self, more: Iterator[frozenset], rank: Callable[[frozenset], int]):
-        self.items: list = []
-        self.more = more
-        self.rank = rank
-
-    def has(self, index: int) -> bool:
-        while len(self.items) <= index:
-            step = next(self.more, None)
-            if step is None:
-                return False
-            self.items.append((self.rank(step), step))
-        return True
-
-
-def _descending_unions(
-    streams: list[Iterator[frozenset]], rank: Callable[[frozenset], int]
-) -> Iterator[tuple[int, tuple]]:
-    """Every choice of one step per stream, each stream in falling key
-    order, as ``(key sum, chosen steps)``, largest sum first.
-
-    A choice comes after every choice that takes an earlier step somewhere.
-    A popped choice advances only at and after the stream it last advanced,
-    which pushes each choice once, from the choice one step before it there.
-    """
-    if len(streams) == 1:
-        for step in streams[0]:
-            yield rank(step), (step,)
-        return
-    sources = [_Parts(stream, rank) for stream in streams]
-    if not all(source.has(0) for source in sources):
-        return
-    heap = [(-sum(source.items[0][0] for source in sources), (0,) * len(sources), 0)]
-    while heap:
-        negated, choice, last = heappop(heap)
-        yield -negated, tuple(sources[j].items[i][1] for j, i in enumerate(choice))
-        for j in range(last, len(sources)):
-            source, index = sources[j], choice[j] + 1
-            if source.has(index):
-                heappush(heap, (negated + source.items[index - 1][0] - source.items[index][0],
-                                choice[:j] + (index,) + choice[j + 1:], j))
-
-
 def _subsets(actions: list) -> Iterator[frozenset]:
     """Every subset of sorted ``actions``, in ``combinations`` order."""
     for size in range(len(actions), -1, -1):
@@ -283,10 +235,10 @@ def _subsets(actions: list) -> Iterator[frozenset]:
 
 
 def _row_steps(row: list, toggled: set, performer: bool) -> list[frozenset]:
-    """One sender's steps on one name, in falling key order: the row's
-    actions without a deciding directed test with any subset of those with
-    one, then the empty row when a performer test decides.  The last step
-    is the row's step with all of its tests false."""
+    """One sender's steps on one name, largest first: the row's actions
+    without a deciding directed test with any subset of those with one,
+    then the empty row when a performer test decides.  The last step is
+    the row's step with all of its tests false."""
     fixed = frozenset(a for a in row if a not in toggled)
     steps = [fixed | part for part in _subsets([a for a in row if a in toggled])]
     if performer and fixed:
@@ -294,29 +246,51 @@ def _row_steps(row: list, toggled: set, performer: bool) -> list[frozenset]:
     return steps
 
 
-def _global_steps(rows: list[list], rank: Callable[[frozenset], int]) -> Iterator[frozenset]:
-    """A name with a deciding global test, in falling key order.
+def _global_steps(rows: list[list]) -> Iterator[frozenset]:
+    """A name with a deciding global test.
 
-    Each choice of row steps (one per sender, in sender order) makes the
-    global test true when no row is empty.  It makes it false once the row
-    of one free sender, whose row step has all its tests false, is dropped:
-    the row with the fewest actions, the greatest sender on ties, which
-    keeps the smaller indices.  Dropping lowers the key, so a false-global
-    step waits in ``pending`` until no later choice can outrank it.
+    Each choice of row steps (one per sender, in sender order, the last
+    sender moving fastest) makes the global test true when no row is
+    empty, and that step comes first.  The choice makes the test false
+    once the row of one free sender, whose row step has all its tests
+    false, is dropped: the row with the fewest actions, the greatest
+    sender on ties, which keeps the smaller indices.
     """
-    pending: list = []
-    for key, parts in _descending_unions([iter(row) for row in rows], rank):
-        while pending and -pending[0][0] > key:
-            yield heappop(pending)[1]
+    for parts in product(*rows):
         step = frozenset().union(*parts)
         if all(parts):
             yield step
         free = [j for j, part in enumerate(parts) if part is rows[j][-1]]
         if free:
             drop = max(free, key=lambda j: (-len(parts[j]), j))
-            heappush(pending, (rank(parts[drop]) - key, step - parts[drop]))
-    while pending:
-        yield heappop(pending)[1]
+            yield step - parts[drop]
+
+
+def _product(parts: list[Iterator[frozenset]]) -> Iterator[frozenset]:
+    """The union of one step from each part, for every choice of steps,
+    the last part moving fastest.  Every part has at least one step.
+
+    An odometer: each part is read as far as the choices need and kept, so
+    that it can start over, and a loop rather than recursion carries the
+    turn from one part to the one before it, however many parts there are.
+    """
+    read = [[next(part)] for part in parts]
+    index = [0] * len(parts)
+    while True:
+        yield frozenset().union(*(steps[i] for steps, i in zip(read, index)))
+        j = len(parts) - 1
+        while j >= 0:
+            index[j] += 1
+            if index[j] < len(read[j]):
+                break
+            step = next(parts[j], None)
+            if step is not None:
+                read[j].append(step)
+                break
+            index[j] = 0
+            j -= 1
+        else:
+            return
 
 
 def _witnesses(
@@ -326,33 +300,28 @@ def _witnesses(
     actions: frozenset[ActionName],
 ) -> Iterator[frozenset]:
     """One step per satisfiable valuation of a state's deciding leaf
-    tests, in the order ``combinations`` over the sorted relevant universe
-    first reaches each valuation: by size, then by index tuple.
+    tests: the first subset of the sorted relevant universe, in
+    ``combinations`` order (by size, largest first, then by index tuple),
+    that makes exactly those tests true.
 
     A valuation's step is every relevant action that matches no false
     performer or directed test, less, for a false global test, one free
     sender's row (see ``_global_steps``).  It splits into independent
-    parts: the actions no test decides, which every step holds; the
-    actions with only a directed test, free to come and go; the row of
-    each sender with a deciding performer test (see ``_row_steps``); and
-    each name with a deciding global test.  A step's key, its size above
-    one bit per action with the least action highest, orders steps as
-    ``combinations`` does and adds up over parts, so the steps of several
-    parts come lazily from ``_descending_unions``.  The spare action joins
-    every nonempty step when a wildcard is tested, and the empty step
-    comes last.
+    parts: the actions no test decides, which every step holds; each name
+    with a deciding global test; the row of each sender with a deciding
+    performer test (see ``_row_steps``); and the actions with only a
+    directed test, free to come and go, in ``combinations`` order.  The
+    steps are the lazy product of those parts (see ``_product``), so a
+    state whose only deciding tests are directed ones gets its steps in
+    ``combinations`` order.  The spare action joins every nonempty step
+    when a wildcard is tested, and the empty step comes last.
     """
     tested = sorted({a for name, rels in tests.items()
                      for rel in rels for a in _compatible(rel, name, individuals)})
-    bits = {a: 1 << k for k, a in enumerate(reversed(tested))}
-
-    def rank(step: frozenset) -> int:
-        return (len(step) << len(tested)) + sum(map(bits.__getitem__, step))
-
     rows: dict[ActionName, dict[Individual, list]] = {}
     for a in tested:
         rows.setdefault(a.action, {}).setdefault(a.sender, []).append(a)
-    kept, toggles, streams = [], [], []
+    kept, toggles, parts = [], [], []
     for name, rels in tests.items():
         toggled, performers, global_test = set(), set(), False
         for rel, decides in rels.items():
@@ -365,24 +334,20 @@ def _witnesses(
             else:
                 global_test = True
         if global_test:
-            streams.append(_global_steps([_row_steps(row, toggled, sender in performers)
-                                          for sender, row in rows[name].items()], rank))
+            parts.append(_global_steps([_row_steps(row, toggled, sender in performers)
+                                        for sender, row in rows[name].items()]))
             continue
         for sender, row in rows[name].items():
             if sender in performers:
-                streams.append(iter(_row_steps(row, toggled, True)))
+                parts.append(iter(_row_steps(row, toggled, True)))
             else:
                 for a in row:
                     (toggles if a in toggled else kept).append(a)
     if toggles:
-        streams.append(_subsets(sorted(toggles)))
-    if len(streams) == 1:
-        steps = streams[0]
-    else:
-        steps = (frozenset().union(*parts) for _, parts in _descending_unions(streams, rank))
+        parts.append(_subsets(sorted(toggles)))
     base = frozenset(kept)
     extra = _spare(frozenset(tested), individuals, actions) if wildcard else frozenset()
-    for step in steps:
+    for step in parts[0] if len(parts) == 1 else _product(parts):
         step = step | base if base else step
         if not wildcard:
             yield step
@@ -398,18 +363,17 @@ def enumerate_action_sets(
     options: BuildOptions = BuildOptions(),
     actions: frozenset[ActionName] = frozenset(),
 ) -> Iterator[frozenset]:
-    """Candidate concurrent action sets for one state, largest first.
+    """Candidate concurrent action sets for one state.
 
     By default there is one set per satisfiable valuation of the formula's
     leaf tests (see ``_witnesses``): the first subset of
     ``relevant_universe`` in largest-first order that makes exactly those
-    tests true, so each residual is reached by the same first step as a
-    walk over every subset would reach it.  The sets are built as they are
-    drawn, so a budget stops the walk whatever the number of valuations.
-    Under ``options.no_pruning`` it is the concrete reference instead:
-    every subset of the full universe over ``actions``, by size and then
-    in the serialization order of the sorted universe.  Either way a set
-    that is produced empty comes last.
+    tests true.  The sets are built as they are drawn, so a budget stops
+    the walk whatever the number of valuations.  Under
+    ``options.no_pruning`` it is the concrete reference instead: every
+    subset of the full universe over ``actions``, largest first, then in
+    the serialization order of the sorted universe.  Either way a set that
+    is produced empty comes last.
     """
     if options.no_pruning:
         universe = sorted(relativized_universe(individuals, actions))
@@ -447,7 +411,8 @@ def construct(
     every exposed body and reparation put through ``prepare`` once per
     construction, so a step's residual, ``prepare(decompose(state, step))``,
     is the table's leaf outcomes joined canonically (see ``formula.join``).
-    Every step is checked against the relativized-action universe once.
+    Every action of a step is checked against the alphabet the first time
+    a step holds it.
     ``on_state`` runs on every state as soon as it is labelled, before its
     successors are explored; returning True marks the state as conflicting
     and, unless ``options.complete`` is set, halts the construction there.
@@ -455,9 +420,7 @@ def construct(
     budget runs out.
     """
     individuals = spec.effective_individuals
-    # Plain tuples: a RelativizedAction hashes and compares as its fields,
-    # and building named tuples would cost more than the checks they serve.
-    universe = frozenset(product(individuals, spec.actions, individuals))
+    checked: set = set()  # actions of drawn steps, all inside the alphabet
     prepared: dict[Formula, Formula] = {}
 
     def prepare_once(formula: Formula) -> Formula:
@@ -533,8 +496,12 @@ def construct(
             if step is None:
                 stack.pop()
                 continue
-            if not step <= universe:
-                raise ValueError(f"step outside the alphabet: {sorted(step - universe)!r}")
+            if not step <= checked:
+                outside = sorted(a for a in step - checked if a[0] not in individuals
+                                 or a[1] not in spec.actions or a[2] not in individuals)
+                if outside:
+                    raise ValueError(f"step outside the alphabet: {outside!r}")
+                checked |= step
             residual = _apply(table, step, individuals, join)
             target = state_ids.get(residual)
             if target is not None:

@@ -4,8 +4,8 @@
 of action and deontic traces.  ``oracle_verdict`` searches for conflicting
 states by re-decomposing the contract from the root along every bounded
 trace, with none of the automaton machinery (no state sharing, no
-witness steps, no largest-first ordering, no early construction stop) but
-its step universe, ``relevant_universe``.
+witness steps, no early construction stop) but its step universe,
+``relevant_universe``.
 """
 from __future__ import annotations
 

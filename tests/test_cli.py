@@ -42,6 +42,14 @@ def test_conflicting_contract_report_shape(capsys):
     assert lines[3].startswith("Trace: s0 -T")
 
 
+def test_readme_sample_report_is_the_sales_contract_report(capsys):
+    readme = (CONTRACTS.parent / "README.md").read_text()
+    sample = readme.split("A conflict report looks like:\n\n```\n", 1)[1].split("```", 1)[0]
+    code, out, _ = run(capsys, str(CONTRACTS / "sales-contract.rcl"))
+    assert code == 1
+    assert out == sample
+
+
 def test_verbose_report_appends_formulas_and_labels(capsys):
     code, out, _ = run(capsys, str(CONTRACTS / "sales-contract.rcl"), "-v")
     assert code == 1
