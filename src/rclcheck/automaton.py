@@ -4,9 +4,9 @@ States are canonical residual contracts; transitions carry the concurrent
 relativized-action set performed in one step.  Construction is a
 deterministic depth-first exploration.  A residual depends only on which of
 its state's leaf tests a step makes true, so each state gets one step per
-satisfiable valuation of those tests (the minterms of a symbolic automaton):
-the valuation's first subset of ``relevant_universe`` in largest-first
-order.  The steps are a lazy product of the state's independent parts (see
+satisfiable valuation of those tests (the minterms of a symbolic automaton),
+built from the tests alone and holding only the actions the valuation
+needs.  The steps are a lazy product of the state's independent parts (see
 ``_witnesses``), built as they are drawn, so the state and transition
 budgets bound the work however many valuations or parts a state has.  Each
 state is compiled once into a step table (see ``decompose._table``) whose
@@ -161,17 +161,16 @@ def _leaf_tests(formula: Formula) -> tuple[dict, bool]:
     """The leaf tests of a normal-form formula, and whether it tests ``1``.
 
     Walks the ``And``/``XChoice`` spine of a state in step normal form (see
-    ``prepare``).  Each unguarded deontic operator and each dynamic trigger
-    (a negated one through its inner action) on a basic action tests that
-    action under its relativization; bodies and reparations are not tested
-    before the step and give nothing.  The tests come back as
-    ``{name: {rel: decides}}``, where ``decides`` is false when only
-    permissions test the pair: they label the state but never change its
-    residual.  A ``1`` trigger, plain or negated (``O(1)`` becomes
-    ``[!1]``), sets the wildcard flag; ``0`` is matched by no step and
-    gives nothing.
+    ``prepare``).  Each unguarded obligation or prohibition and each
+    dynamic trigger (a negated one through its inner action) on a basic
+    action tests that action under its relativization, and the tests come
+    back as ``{name: {rel}}``.  Bodies and reparations are not tested
+    before the step and give nothing; nor do permissions, which label the
+    state but never change its residual.  A ``1`` trigger, plain or
+    negated (``O(1)`` becomes ``[!1]``), sets the wildcard flag; ``0`` is
+    matched by no step and gives nothing.
     """
-    tests: dict[ActionName, dict[Relativization, bool]] = {}
+    tests: dict[ActionName, set[Relativization]] = {}
     wildcard = False
     stack = [formula]
     while stack:
@@ -179,28 +178,29 @@ def _leaf_tests(formula: Formula) -> tuple[dict, bool]:
         if isinstance(f, (And, XChoice)):
             stack.extend(f.children)
             continue
-        if isinstance(f, (Top, Bottom)):
+        if isinstance(f, (Top, Bottom, Permission)):
             continue
         test = f.trigger if isinstance(f, Dynamic) else f.action
         if isinstance(test, Negation):
             test = test.inner
         if isinstance(test, Atom):
-            rels = tests.setdefault(test.name, {})
-            rels[f.rel] = rels.get(f.rel, False) or not isinstance(f, Permission)
+            tests.setdefault(test.name, set()).add(f.rel)
         elif isinstance(test, OneAction):
             wildcard = True
     return tests, wildcard
 
 
 def _spare(
-    tested: frozenset, individuals: frozenset[Individual], actions: frozenset[ActionName]
+    tests: dict, individuals: frozenset[Individual], actions: frozenset[ActionName]
 ) -> frozenset:
     """The least action of the ``individuals`` x ``actions`` universe that
-    ``tested`` leaves out, as a singleton, or nothing when there is none."""
-    universe = product(sorted(individuals), sorted(actions), sorted(individuals))
-    for spare in (RelativizedAction(*parts) for parts in universe):
-        if spare not in tested:
-            return frozenset({spare})
+    no test reads, as a singleton, or nothing when there is none."""
+    for sender, name, receiver in product(sorted(individuals), sorted(actions),
+                                          sorted(individuals)):
+        if not any(rel.is_global or rel.sender == sender
+                   and (rel.is_performer or rel.receiver == receiver)
+                   for rel in tests.get(name, ())):
+            return frozenset({RelativizedAction(sender, name, receiver)})
     return frozenset()
 
 
@@ -218,13 +218,13 @@ def relevant_universe(
     give every outcome but one: a nonempty T that meets none of it.  Only a
     wildcard test tells that step from the empty one, so when a wildcard is
     present one spare action stands for all such steps: the least one of
-    the ``individuals`` x ``actions`` universe left out of the result, if
-    there is one.
+    the ``individuals`` x ``actions`` universe that no test reads, if there
+    is one.  Actions only permissions mention are not in the result.
     """
     tests, wildcard = _leaf_tests(formula)
     tested = frozenset(a for name, rels in tests.items()
                        for rel in rels for a in _compatible(rel, name, individuals))
-    return tested | _spare(tested, individuals, actions) if wildcard else tested
+    return tested | _spare(tests, individuals, actions) if wildcard else tested
 
 
 def _subsets(actions: list) -> Iterator[frozenset]:
@@ -235,35 +235,38 @@ def _subsets(actions: list) -> Iterator[frozenset]:
 
 
 def _row_steps(row: list, toggled: set, performer: bool) -> list[frozenset]:
-    """One sender's steps on one name, largest first: the row's actions
-    without a deciding directed test with any subset of those with one,
-    then the empty row when a performer test decides.  The last step is
-    the row's step with all of its tests false."""
-    fixed = frozenset(a for a in row if a not in toggled)
-    steps = [fixed | part for part in _subsets([a for a in row if a in toggled])]
-    if performer and fixed:
-        steps.append(frozenset())
+    """One sender's steps on one name, given its row of actions in receiver
+    order: each nonempty subset of the row's directed cells, largest first;
+    then, with no directed test true, the row's least action without one,
+    which performs the name, and for a performer test the empty row (the
+    empty row alone when every cell is directed).  The last step has all
+    of the row's tests false."""
+    steps = list(_subsets([a for a in row if a in toggled]))
+    untested = next((a for a in row if a not in toggled), None)
+    if untested is not None:
+        steps[-1] = frozenset({untested})
+        if performer:
+            steps.append(frozenset())
     return steps
 
 
 def _global_steps(rows: list[list]) -> Iterator[frozenset]:
-    """A name with a deciding global test.
+    """A name with a global test, from the row steps of every individual.
 
-    Each choice of row steps (one per sender, in sender order, the last
-    sender moving fastest) makes the global test true when no row is
-    empty, and that step comes first.  The choice makes the test false
-    once the row of one free sender, whose row step has all its tests
-    false, is dropped: the row with the fewest actions, the greatest
-    sender on ties, which keeps the smaller indices.
+    Each choice of row steps (one per individual, in sorted order, the last
+    moving fastest) yields its step, which makes the global test true when
+    every row performs and false when one row is empty.  A choice whose
+    rows all perform then yields the same step without its last free row,
+    one whose row step has all its tests false, which makes the global
+    test false.
     """
     for parts in product(*rows):
         step = frozenset().union(*parts)
+        yield step
         if all(parts):
-            yield step
-        free = [j for j, part in enumerate(parts) if part is rows[j][-1]]
-        if free:
-            drop = max(free, key=lambda j: (-len(parts[j]), j))
-            yield step - parts[drop]
+            free = [part for row, part in zip(rows, parts) if part is row[-1]]
+            if free:
+                yield step - free[-1]
 
 
 def _product(parts: list[Iterator[frozenset]]) -> Iterator[frozenset]:
@@ -299,60 +302,49 @@ def _witnesses(
     individuals: frozenset[Individual],
     actions: frozenset[ActionName],
 ) -> Iterator[frozenset]:
-    """One step per satisfiable valuation of a state's deciding leaf
-    tests: the first subset of the sorted relevant universe, in
-    ``combinations`` order (by size, largest first, then by index tuple),
-    that makes exactly those tests true.
+    """One step per satisfiable valuation of a state's leaf tests, built
+    from those tests alone.
 
-    A valuation's step is every relevant action that matches no false
-    performer or directed test, less, for a false global test, one free
-    sender's row (see ``_global_steps``).  It splits into independent
-    parts: the actions no test decides, which every step holds; each name
-    with a deciding global test; the row of each sender with a deciding
-    performer test (see ``_row_steps``); and the actions with only a
-    directed test, free to come and go, in ``combinations`` order.  The
-    steps are the lazy product of those parts (see ``_product``), so a
-    state whose only deciding tests are directed ones gets its steps in
-    ``combinations`` order.  The spare action joins every nonempty step
-    when a wildcard is tested, and the empty step comes last.
+    A step holds only what its valuation needs: the cell of each true
+    directed test, and one action of each row that must perform a name for
+    a true performer or global test.  The steps are the lazy product (see
+    ``_product``) of the state's independent parts: each name with a
+    global test (see ``_global_steps``), the row of each sender with a
+    performer test (see ``_row_steps``), and the cells of the other
+    directed tests, free to come and go, in ``combinations`` order.  Rows
+    are built from the sorted individuals only for performer and global
+    tests.  So a state whose only tests are directed ones gets every subset
+    of their cells, in ``combinations`` order.  When a wildcard is tested,
+    the spare action (see ``_spare``) stands in for the step that would
+    otherwise be empty, and the empty step comes last.
     """
-    tested = sorted({a for name, rels in tests.items()
-                     for rel in rels for a in _compatible(rel, name, individuals)})
-    rows: dict[ActionName, dict[Individual, list]] = {}
-    for a in tested:
-        rows.setdefault(a.action, {}).setdefault(a.sender, []).append(a)
-    kept, toggles, parts = [], [], []
+    order = sorted(individuals)
+    toggles, parts = [], []
     for name, rels in tests.items():
         toggled, performers, global_test = set(), set(), False
-        for rel, decides in rels.items():
-            if not decides:
-                continue
+        for rel in rels:
             if rel.is_directed:
                 toggled.add(RelativizedAction(rel.sender, name, rel.receiver))
             elif rel.is_performer:
                 performers.add(rel.sender)
             else:
                 global_test = True
+        rows = [_row_steps([RelativizedAction(sender, name, r) for r in order], toggled,
+                           sender in performers)
+                for sender in (order if global_test else sorted(performers))]
         if global_test:
-            parts.append(_global_steps([_row_steps(row, toggled, sender in performers)
-                                        for sender, row in rows[name].items()]))
-            continue
-        for sender, row in rows[name].items():
-            if sender in performers:
-                parts.append(iter(_row_steps(row, toggled, True)))
-            else:
-                for a in row:
-                    (toggles if a in toggled else kept).append(a)
+            parts.append(_global_steps(rows))
+        else:
+            parts.extend(map(iter, rows))
+            toggles.extend(a for a in toggled if a.sender not in performers)
     if toggles:
         parts.append(_subsets(sorted(toggles)))
-    base = frozenset(kept)
-    extra = _spare(frozenset(tested), individuals, actions) if wildcard else frozenset()
+    spare = _spare(tests, individuals, actions) if wildcard else frozenset()
     for step in parts[0] if len(parts) == 1 else _product(parts):
-        step = step | base if base else step
-        if not wildcard:
+        if step or not wildcard:
             yield step
-        elif step or extra:
-            yield step | extra
+        elif spare:
+            yield spare
     if wildcard:
         yield frozenset()
 
@@ -366,20 +358,16 @@ def enumerate_action_sets(
     """Candidate concurrent action sets for one state.
 
     By default there is one set per satisfiable valuation of the formula's
-    leaf tests (see ``_witnesses``): the first subset of
-    ``relevant_universe`` in largest-first order that makes exactly those
-    tests true.  The sets are built as they are drawn, so a budget stops
-    the walk whatever the number of valuations.  Under
+    leaf tests (see ``_witnesses``), holding only the actions that
+    valuation needs.  The sets are built as they are drawn, so a budget
+    stops the walk whatever the number of valuations.  Under
     ``options.no_pruning`` it is the concrete reference instead: every
     subset of the full universe over ``actions``, largest first, then in
     the serialization order of the sorted universe.  Either way a set that
     is produced empty comes last.
     """
     if options.no_pruning:
-        universe = sorted(relativized_universe(individuals, actions))
-        for size in range(len(universe), -1, -1):
-            for subset in combinations(universe, size):
-                yield frozenset(subset)
+        yield from _subsets(sorted(relativized_universe(individuals, actions)))
         return
     tests, wildcard = _leaf_tests(formula)
     yield from _witnesses(tests, wildcard, individuals, actions)

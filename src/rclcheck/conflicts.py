@@ -85,37 +85,40 @@ def tags_conflict(
 Clash = tuple[DeonticTag, DeonticTag, ConflictKind]
 
 
-def _pair_clash(a: DeonticGroup, b: DeonticGroup, rels: ConflictRelations) -> Clash | None:
-    def first_clash(tags1, tags2) -> Clash | None:
-        for d1 in sorted(tags1, key=DeonticTag.sort_key):
-            for d2 in sorted(tags2, key=DeonticTag.sort_key):
-                kind = tags_conflict(d1, d2, rels)
-                if kind is not None:
-                    return (d1, d2, kind)
-        return None
+def _first_clash(tags1: list, tags2: list, rels: ConflictRelations) -> Clash | None:
+    for d1 in tags1:
+        for d2 in tags2:
+            kind = tags_conflict(d1, d2, rels)
+            if kind is not None:
+                return (d1, d2, kind)
+    return None
 
-    def all_blocked(choice_tags, other_tags) -> bool:
-        return all(
-            any(tags_conflict(d, d2, rels) is not None for d2 in other_tags)
-            for d in choice_tags
-        )
 
-    if a.kind is GroupKind.CONJUNCT and b.kind is GroupKind.CONJUNCT:
-        return first_clash(a.tags, b.tags)
+def _all_blocked(choice_tags: list, other_tags: list, rels: ConflictRelations) -> bool:
+    return all(
+        any(tags_conflict(d, d2, rels) is not None for d2 in other_tags)
+        for d in choice_tags
+    )
+
+
+def _pair_clash(kind1: GroupKind, tags1: list, kind2: GroupKind, tags2: list,
+                rels: ConflictRelations) -> Clash | None:
+    """The first clash between two groups, given each group's tags sorted."""
     # A choice group conflicts only when every alternative is blocked.
-    if a.kind is GroupKind.OBLIGATION_CHOICE and all_blocked(a.tags, b.tags):
-        return first_clash(a.tags, b.tags)
-    if b.kind is GroupKind.OBLIGATION_CHOICE and all_blocked(b.tags, a.tags):
-        return first_clash(a.tags, b.tags)
+    if (kind1 is GroupKind.CONJUNCT and kind2 is GroupKind.CONJUNCT
+            or kind1 is GroupKind.OBLIGATION_CHOICE and _all_blocked(tags1, tags2, rels)
+            or kind2 is GroupKind.OBLIGATION_CHOICE and _all_blocked(tags2, tags1, rels)):
+        return _first_clash(tags1, tags2, rels)
     return None
 
 
 def iter_group_conflicts(groups: frozenset, rels: ConflictRelations):
     """All clashes between distinct groups, in deterministic order."""
-    ordered = sorted(groups, key=DeonticGroup.sort_key)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            clash = _pair_clash(a, b, rels)
+    ordered = [(g.kind, sorted(g.tags, key=DeonticTag.sort_key))
+               for g in sorted(groups, key=DeonticGroup.sort_key)]
+    for i, (kind1, tags1) in enumerate(ordered):
+        for kind2, tags2 in ordered[i + 1 :]:
+            clash = _pair_clash(kind1, tags1, kind2, tags2, rels)
             if clash is not None:
                 yield clash
 

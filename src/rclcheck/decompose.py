@@ -131,7 +131,7 @@ def rewrite_compound(formula: Formula, _seen: frozenset = frozenset()) -> Formul
             return formula
         if isinstance(act, (ZeroAction, OneAction)):
             return TOP
-        if isinstance(act, Concurrent):
+        if isinstance(act, (Concurrent, Choice)):
             return conj(rw(Permission(rel, act.left), _seen),
                         rw(Permission(rel, act.right), _seen))
         if isinstance(act, Sequence):
@@ -139,9 +139,6 @@ def rewrite_compound(formula: Formula, _seen: frozenset = frozenset()) -> Formul
                 rw(Permission(rel, act.left), _seen),
                 rw(Dynamic(rel, act.left, Permission(rel, act.right)), _seen),
             )
-        if isinstance(act, Choice):
-            return conj(rw(Permission(rel, act.left), _seen),
-                        rw(Permission(rel, act.right), _seen))
         raise ValueError(f"illegal action under a permission: {act!r}")
     if isinstance(formula, Obligation):
         rel, act, rep = formula.rel, formula.action, formula.reparation
@@ -172,16 +169,13 @@ def rewrite_compound(formula: Formula, _seen: frozenset = frozenset()) -> Formul
             return TOP
         if isinstance(act, OneAction):
             return Dynamic(rel, act, rep if rep is not None else BOTTOM)
-        if isinstance(act, Concurrent):
+        if isinstance(act, (Concurrent, Choice)):
             return conj(rw(Prohibition(rel, act.left, rep), _seen),
                         rw(Prohibition(rel, act.right, rep), _seen))
         if isinstance(act, Sequence):
             # Violated only if the whole sequence happens: forbid the tail
             # once the head has been performed.
             return rw(Dynamic(rel, act.left, Prohibition(rel, act.right, rep)), _seen)
-        if isinstance(act, Choice):
-            return conj(rw(Prohibition(rel, act.left, rep), _seen),
-                        rw(Prohibition(rel, act.right, rep), _seen))
         raise ValueError(f"illegal action under a prohibition: {act!r}")
     if isinstance(formula, Dynamic):
         rel, trig, body = formula.rel, formula.trigger, formula.body
@@ -199,14 +193,11 @@ def rewrite_compound(formula: Formula, _seen: frozenset = frozenset()) -> Formul
                 rw(body, seen),
                 rw(Dynamic(rel, trig.inner, formula), seen),
             )
-        if isinstance(trig, Concurrent):
+        if isinstance(trig, (Concurrent, Choice)):
             return conj(rw(Dynamic(rel, trig.left, body), _seen),
                         rw(Dynamic(rel, trig.right, body), _seen))
         if isinstance(trig, Sequence):
             return rw(Dynamic(rel, trig.left, Dynamic(rel, trig.right, body)), _seen)
-        if isinstance(trig, Choice):
-            return conj(rw(Dynamic(rel, trig.left, body), _seen),
-                        rw(Dynamic(rel, trig.right, body), _seen))
         raise ValueError(f"illegal trigger: {trig!r}")
     raise TypeError(f"not a formula: {formula!r}")
 

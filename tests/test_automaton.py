@@ -155,29 +155,26 @@ def rows(name, senders, individuals):
     return frozenset(ra(s, name, r) for s in senders for r in individuals)
 
 
-def test_false_global_test_drops_the_emptiest_unpinned_row():
+def test_false_global_test_drops_the_last_free_row():
     individuals = frozenset({"i", "j", "k"})
     formula = conj(Obligation(GLOBAL, Atom("a")),
                    Dynamic(directed("k", "k"), Atom("a"), Obligation(GLOBAL, Atom("b"))))
-    everything = rows("a", "ijk", individuals)
-    steps = list(enumerate_action_sets(formula, individuals))
-    assert len(steps) == 4
-    assert set(steps) == {
-        everything,                          # global true, directed true
-        everything - {ra("k", "a", "k")},    # global true, directed false
-        # Both false: k's row is the emptiest once (k,a,k) is cut.
-        rows("a", "ij", individuals),
-        # Global false, directed true: k is pinned, i and j tie at three
-        # actions and the greater sender's row goes.
-        rows("a", "ik", individuals),
-    }
+    # Each row performs with one action: its directed cell when that test
+    # is true, else its least action without a directed test.
+    assert list(enumerate_action_sets(formula, individuals)) == [
+        {ra("i", "a", "i"), ra("j", "a", "i"), ra("k", "a", "k")},  # both true
+        # Global false, directed true: k is pinned, j is the last free row.
+        {ra("i", "a", "i"), ra("k", "a", "k")},
+        {ra("i", "a", "i"), ra("j", "a", "i"), ra("k", "a", "i")},  # global true
+        {ra("i", "a", "i"), ra("j", "a", "i")},                     # both false
+    ]
 
 
-def test_performer_witness_holds_every_receiver():
+def test_performer_witness_holds_one_action():
     individuals = frozenset({"i", "j", "k"})
     formula = Obligation(performer("i"), Atom("a"))
     assert list(enumerate_action_sets(formula, individuals)) == [
-        rows("a", "i", individuals), frozenset()
+        {ra("i", "a", "i")}, frozenset()
     ]
 
 
@@ -187,9 +184,9 @@ def test_unsatisfiable_valuation_is_skipped():
     individuals = frozenset({"i", "j"})
     formula = conj(Obligation(GLOBAL, Atom("a")), Obligation(performer("i"), Atom("a")))
     assert list(enumerate_action_sets(formula, individuals)) == [
-        rows("a", "ij", individuals),   # both true
-        rows("a", "i", individuals),    # global false, performer true
-        rows("a", "j", individuals),    # both false: i's row is already empty
+        {ra("i", "a", "i"), ra("j", "a", "i")},   # both true
+        {ra("i", "a", "i")},                      # global false, performer true
+        {ra("j", "a", "i")},                      # both false: i's row is already empty
     ]
 
 
@@ -204,9 +201,10 @@ def test_wildcard_valuations_use_the_spare_action(wildcard):
         frozenset({ra("i", "a", "i")}), frozenset()
     ]
     guarded = conj(Obligation(directed("i", "i"), Atom("a")), alone)
+    # The spare action joins only the step that would otherwise be empty.
     assert list(enumerate_action_sets(guarded, individuals, actions=actions)) == [
-        frozenset({ra("i", "a", "i"), ra("i", "a", "j")}),   # test true
-        frozenset({ra("i", "a", "j")}),                      # test false, step nonempty
+        frozenset({ra("i", "a", "i")}),   # test true
+        frozenset({ra("i", "a", "j")}),   # test false, step nonempty
         frozenset(),
     ]
 
@@ -233,30 +231,36 @@ def leaf_tests(formula):
     return sorted(out, key=repr)
 
 
-def first_step_per_valuation(formula, individuals, actions):
-    universe = sorted(relevant_universe(formula, individuals, actions))
+def valuation(tests, step, individuals):
+    return tuple(trigger_matched(rel, act, step, individuals) for rel, act in tests)
+
+
+def valuations_of_witnesses(formula, individuals, actions):
+    """The valuation each witness step of a state makes, checked to reach
+    every satisfiable valuation of its leaf tests exactly once, and those
+    valuations in the order a walk over every subset of the universe,
+    largest first, first reaches them.  The universe is the whole
+    relativized one when it is small, so that the check does not trust
+    ``relevant_universe``."""
+    universe = relativized_universe(individuals, actions)
+    if len(universe) > 12:
+        universe = relevant_universe(formula, individuals, actions)
     tests = leaf_tests(formula)
-    first = {}
-    for size in range(len(universe), -1, -1):
-        for subset in combinations(universe, size):
-            step = frozenset(subset)
-            valuation = tuple(trigger_matched(rel, act, step, individuals) for rel, act in tests)
-            first.setdefault(valuation, step)
-    return list(first.values())
-
-
-def witnesses_and_reference(formula, individuals, actions):
-    """A state's witness steps, checked to hold no step twice, and the
-    first step of each valuation in ``combinations`` order."""
-    witnesses = list(enumerate_action_sets(formula, individuals, BuildOptions(), actions))
+    reference = list(dict.fromkeys(
+        valuation(tests, frozenset(subset), individuals)
+        for size in range(len(universe), -1, -1)
+        for subset in combinations(sorted(universe), size)))
+    steps = enumerate_action_sets(formula, individuals, BuildOptions(), actions)
+    witnesses = [valuation(tests, step, individuals) for step in steps]
     assert len(set(witnesses)) == len(witnesses)
-    return witnesses, first_step_per_valuation(formula, individuals, actions)
+    assert set(witnesses) == set(reference)
+    return witnesses, reference
 
 
 @settings(max_examples=60, deadline=None)
 @given(n_individuals=st.integers(1, 3), n_actions=st.integers(1, 3),
        clauses=st.integers(1, 2), seed=st.integers(0, 10**6))
-def test_witnesses_are_the_first_step_of_each_valuation(n_individuals, n_actions, clauses, seed):
+def test_witnesses_reach_each_valuation_once(n_individuals, n_actions, clauses, seed):
     spec = generate(individuals=n_individuals, actions=n_actions, clauses=clauses,
                     max_depth=3, seed=seed)
     options = BuildOptions(complete=True, max_states=60, max_transitions=2_000)
@@ -269,10 +273,10 @@ def test_witnesses_are_the_first_step_of_each_valuation(n_individuals, n_actions
         if isinstance(formula, (Top, Bottom)):
             continue
         # Keep the reference walk over every subset small.
-        if len(relevant_universe(formula, individuals, spec.actions)) > 12:
+        if min(len(relativized_universe(individuals, spec.actions)),
+               len(relevant_universe(formula, individuals, spec.actions))) > 12:
             continue
-        witnesses, reference = witnesses_and_reference(formula, individuals, spec.actions)
-        assert set(witnesses) == set(reference)
+        valuations_of_witnesses(formula, individuals, spec.actions)
 
 
 @settings(max_examples=30, deadline=None)
@@ -310,8 +314,7 @@ def test_witnesses_of_drawn_leaf_tests(n_individuals, leaves):
     formula = prepare(conj(*(LEAVES[kind](rel, Atom(name)) for rel, name, kind in leaves)))
     actions = frozenset("abc")
     assume(len(relevant_universe(formula, individuals, actions)) <= 10)
-    witnesses, reference = witnesses_and_reference(formula, individuals, actions)
-    assert set(witnesses) == set(reference)
+    valuations_of_witnesses(formula, individuals, actions)
 
 
 DIRECTED = [rel for rel in RELS if rel.is_directed]
@@ -324,7 +327,7 @@ DIRECTED = [rel for rel in RELS if rel.is_directed]
        st.sampled_from([None, ONE, Negation(ONE)]))
 def test_directed_tests_keep_combinations_order(n_individuals, leaves, wildcard):
     # Only directed tests decide: the steps come in the order a walk over
-    # every subset of the relevant universe first reaches each valuation.
+    # every subset of the universe first reaches each valuation.
     individuals = frozenset("ijk"[:n_individuals])
     parts = [LEAVES[kind](rel, Atom(name)) for rel, name, kind in leaves
              if rel.sender in individuals]
@@ -334,7 +337,7 @@ def test_directed_tests_keep_combinations_order(n_individuals, leaves, wildcard)
     formula = prepare(conj(*parts))
     actions = frozenset("abc")
     assume(len(relevant_universe(formula, individuals, actions)) <= 10)
-    witnesses, reference = witnesses_and_reference(formula, individuals, actions)
+    witnesses, reference = valuations_of_witnesses(formula, individuals, actions)
     assert witnesses == reference
 
 
@@ -373,6 +376,16 @@ def test_a_state_with_thousands_of_parts_is_checked_within_its_budget():
     verdict = check(parse_or_raise(text), BuildOptions(max_transitions=50))
     assert verdict.kind is VerdictKind.INCONCLUSIVE
     assert verdict.reason.startswith("transition budget of 50 exhausted after ")
+
+
+def test_labels_hold_one_action_per_performer_test():
+    # 200 performers over 200 receivers: the root's relevant universe has
+    # 40,000 actions, but a step needs one action per true performer test.
+    text = "".join(f"{{i{k}}}O(a{k}); " for k in range(200))
+    outcome = run_check(parse_or_raise(text), BuildOptions(max_transitions=50))
+    assert outcome.verdict.kind is VerdictKind.INCONCLUSIVE
+    labels = [t.label for t in outcome.automaton.transitions if isinstance(t.label, frozenset)]
+    assert max(map(len, labels)) <= 200
 
 
 def test_no_pruning_enumeration_order():
