@@ -36,7 +36,6 @@ from .conflicts import (
     tags_conflict,
 )
 from .decompose import (
-    ConcurrentActionSet,
     DeonticGroup,
     DeonticOp,
     DeonticTag,

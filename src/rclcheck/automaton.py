@@ -26,28 +26,13 @@ from typing import Callable, Iterator
 from .decompose import (
     RelativizedAction,
     _apply,
+    _leaf_tests,
     _table,
     decompose,  # the per-step reference the tables reproduce; perfbench traces it here
     deontic_tags,
     prepare,
 )
-from .formula import (
-    ActionName,
-    And,
-    Atom,
-    Bottom,
-    ContractSpec,
-    Dynamic,
-    Formula,
-    Individual,
-    Negation,
-    OneAction,
-    Permission,
-    Relativization,
-    Top,
-    XChoice,
-    join,
-)
+from .formula import ActionName, Bottom, ContractSpec, Formula, Individual, Top, join
 
 
 class SpecialLabel(Enum):
@@ -143,64 +128,31 @@ def action_set_count(universe_size: int) -> int:
     return 2**universe_size - 1
 
 
-def _compatible(
-    rel: Relativization, action: ActionName, individuals: frozenset[Individual]
-) -> Iterator[RelativizedAction]:
-    if rel.is_global:
+def _matching(key, individuals: frozenset[Individual]) -> Iterator[RelativizedAction]:
+    """The actions that make a leaf test (see ``decompose._test``) true on
+    their own, or, for a global test, together."""
+    if type(key) is RelativizedAction:
+        yield key
+    elif type(key) is tuple:  # a performer's (sender, name)
+        for r in individuals:
+            yield RelativizedAction(*key, r)
+    else:  # a global test's name
         for s in individuals:
             for r in individuals:
-                yield RelativizedAction(s, action, r)
-    elif rel.is_performer:
-        for r in individuals:
-            yield RelativizedAction(rel.sender, action, r)
-    else:
-        yield RelativizedAction(rel.sender, action, rel.receiver)
-
-
-def _leaf_tests(formula: Formula) -> tuple[dict, bool]:
-    """The leaf tests of a normal-form formula, and whether it tests ``1``.
-
-    Walks the ``And``/``XChoice`` spine of a state in step normal form (see
-    ``prepare``).  Each unguarded obligation or prohibition and each
-    dynamic trigger (a negated one through its inner action) on a basic
-    action tests that action under its relativization, and the tests come
-    back as ``{name: {rel}}``.  Bodies and reparations are not tested
-    before the step and give nothing; nor do permissions, which label the
-    state but never change its residual.  A ``1`` trigger, plain or
-    negated (``O(1)`` becomes ``[!1]``), sets the wildcard flag; ``0`` is
-    matched by no step and gives nothing.
-    """
-    tests: dict[ActionName, set[Relativization]] = {}
-    wildcard = False
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, (And, XChoice)):
-            stack.extend(f.children)
-            continue
-        if isinstance(f, (Top, Bottom, Permission)):
-            continue
-        test = f.trigger if isinstance(f, Dynamic) else f.action
-        if isinstance(test, Negation):
-            test = test.inner
-        if isinstance(test, Atom):
-            tests.setdefault(test.name, set()).add(f.rel)
-        elif isinstance(test, OneAction):
-            wildcard = True
-    return tests, wildcard
+                yield RelativizedAction(s, key, r)
 
 
 def _spare(
     tests: dict, individuals: frozenset[Individual], actions: frozenset[ActionName]
 ) -> frozenset:
     """The least action of the ``individuals`` x ``actions`` universe that
-    no test reads, as a singleton, or nothing when there is none."""
-    for sender, name, receiver in product(sorted(individuals), sorted(actions),
-                                          sorted(individuals)):
-        if not any(rel.is_global or rel.sender == sender
-                   and (rel.is_performer or rel.receiver == receiver)
-                   for rel in tests.get(name, ())):
-            return frozenset({RelativizedAction(sender, name, receiver)})
+    no test reads, as a singleton, or nothing when there is none.  A test
+    reads an action when its key is the action itself, the action's
+    ``(sender, name)`` or the action's name."""
+    for action in product(sorted(individuals), sorted(actions), sorted(individuals)):
+        keys = tests.get(action[1], ())
+        if action not in keys and action[:2] not in keys and action[1] not in keys:
+            return frozenset({RelativizedAction(*action)})
     return frozenset()
 
 
@@ -212,18 +164,19 @@ def relevant_universe(
     """Relativized actions that decide the next step of a normal-form formula.
 
     A residual depends only on which of the formula's leaf tests (see
-    ``_leaf_tests``) a step makes true.  Each test adds the actions
-    compatible with its relativization, so any step T makes the same atomic
-    tests true as its part inside the result, and the subsets of the result
-    give every outcome but one: a nonempty T that meets none of it.  Only a
-    wildcard test tells that step from the empty one, so when a wildcard is
-    present one spare action stands for all such steps: the least one of
-    the ``individuals`` x ``actions`` universe that no test reads, if there
-    is one.  Actions only permissions mention are not in the result.
+    ``decompose._leaf_tests``) a step makes true.  Each test adds the
+    actions that match its key (see ``_matching``), so any step T makes the
+    same atomic tests true as its part inside the result, and the subsets
+    of the result give every outcome but one: a nonempty T that meets none
+    of it.  Only a wildcard test tells that step from the empty one, so
+    when a wildcard is present one spare action stands for all such steps:
+    the least one of the ``individuals`` x ``actions`` universe that no
+    test reads (see ``_spare``), if there is one.  Actions only
+    permissions mention are not in the result.
     """
     tests, wildcard = _leaf_tests(formula)
-    tested = frozenset(a for name, rels in tests.items()
-                       for rel in rels for a in _compatible(rel, name, individuals))
+    tested = frozenset(a for keys in tests.values() for key in keys
+                       for a in _matching(key, individuals))
     return tested | _spare(tests, individuals, actions) if wildcard else tested
 
 
@@ -303,30 +256,31 @@ def _witnesses(
     actions: frozenset[ActionName],
 ) -> Iterator[frozenset]:
     """One step per satisfiable valuation of a state's leaf tests, built
-    from those tests alone.
+    from their keys alone (see ``decompose._leaf_tests``).
 
-    A step holds only what its valuation needs: the cell of each true
-    directed test, and one action of each row that must perform a name for
-    a true performer or global test.  The steps are the lazy product (see
-    ``_product``) of the state's independent parts: each name with a
-    global test (see ``_global_steps``), the row of each sender with a
-    performer test (see ``_row_steps``), and the cells of the other
-    directed tests, free to come and go, in ``combinations`` order.  Rows
-    are built from the sorted individuals only for performer and global
-    tests.  So a state whose only tests are directed ones gets every subset
-    of their cells, in ``combinations`` order.  When a wildcard is tested,
-    the spare action (see ``_spare``) stands in for the step that would
-    otherwise be empty, and the empty step comes last.
+    Each name's keys split by type into directed cells, the senders of
+    performer tests and a global test.  A step holds only what its valuation
+    needs: the cell of each true directed test, and one action of each row
+    that must perform a name for a true performer or global test.  The steps
+    are the lazy product (see ``_product``) of the state's independent
+    parts: each name with a global test (see ``_global_steps``), the row of
+    each sender with a performer test (see ``_row_steps``), and the cells of
+    the other directed tests, free to come and go, in ``combinations``
+    order.  Rows are built from the sorted individuals only for performer
+    and global tests.  So a state whose only tests are directed ones gets
+    every subset of their cells, in ``combinations`` order.  When a wildcard
+    is tested, the spare action (see ``_spare``) stands in for the step that
+    would otherwise be empty, and the empty step comes last.
     """
     order = sorted(individuals)
     toggles, parts = [], []
-    for name, rels in tests.items():
+    for name, keys in tests.items():
         toggled, performers, global_test = set(), set(), False
-        for rel in rels:
-            if rel.is_directed:
-                toggled.add(RelativizedAction(rel.sender, name, rel.receiver))
-            elif rel.is_performer:
-                performers.add(rel.sender)
+        for key in keys:
+            if type(key) is RelativizedAction:
+                toggled.add(key)
+            elif type(key) is tuple:
+                performers.add(key[0])
             else:
                 global_test = True
         rows = [_row_steps([RelativizedAction(sender, name, r) for r in order], toggled,
@@ -379,15 +333,6 @@ def enumerate_action_sets(
 OnState = Callable[[int, Formula, frozenset], bool]
 
 
-class _HaltBuild(Exception):
-    pass
-
-
-class _Budget(Exception):
-    def __init__(self, limit: str):
-        self.limit = limit
-
-
 def construct(
     spec: ContractSpec,
     options: BuildOptions = BuildOptions(),
@@ -403,9 +348,9 @@ def construct(
     a step holds it.
     ``on_state`` runs on every state as soon as it is labelled, before its
     successors are explored; returning True marks the state as conflicting
-    and, unless ``options.complete`` is set, halts the construction there.
-    Raises ``BudgetExceeded`` (with the partial automaton attached) when a
-    budget runs out.
+    and, unless ``options.complete`` is set, halts the construction there:
+    the automaton built so far is returned.  Raises ``BudgetExceeded``
+    (with the partial automaton attached) where a budget runs out.
     """
     individuals = spec.effective_individuals
     checked: set = set()  # actions of drawn steps, all inside the alphabet
@@ -438,32 +383,38 @@ def construct(
             conflict_states=frozenset(conflict_states),
         )
 
+    def exhausted(limit: str) -> BudgetExceeded:
+        reason = (f"{limit} exhausted after {len(formulas)} states"
+                  f" and {len(transitions)} transitions")
+        return BudgetExceeded(reason, snapshot())
+
     def add_transition(source: int, label: Label, target: int) -> None:
         if len(transitions) >= options.max_transitions:
-            raise _Budget(f"transition budget of {options.max_transitions}")
+            raise exhausted(f"transition budget of {options.max_transitions}")
         transitions.append(Transition(source, label, target))
 
     stack: list[tuple[int, Iterator[frozenset], tuple]] = []
 
     def new_state(formula: Formula) -> int:
         if len(formulas) >= options.max_states:
-            raise _Budget(f"state budget of {options.max_states}")
+            raise exhausted(f"state budget of {options.max_states}")
         sid = len(formulas)
         state_ids[formula] = sid
         formulas.append(formula)
         groups.append(deontic_tags(formula))
         return sid
 
-    def visit(sid: int) -> None:
-        # The conflict callback runs first; satisfied and violated
-        # residuals become self-looping sinks, everything else gets its
-        # action sets enumerated and is explored depth-first.
+    def visit(sid: int) -> bool:
+        # The conflict callback runs first, and True means it halts the
+        # build; satisfied and violated residuals become self-looping
+        # sinks, everything else gets its action sets enumerated and is
+        # explored depth-first.
         nonlocal violation
         formula = formulas[sid]
         if on_state is not None and on_state(sid, formula, groups[sid]):
             conflict_states.add(sid)
             if not options.complete:
-                raise _HaltBuild
+                return True
         if isinstance(formula, Top):
             add_transition(sid, SpecialLabel.TOP_LOOP, sid)
         elif isinstance(formula, Bottom):
@@ -472,38 +423,31 @@ def construct(
         else:
             stack.append((sid, enumerate_action_sets(formula, individuals, options, spec.actions),
                           _table(formula, prepare_once)))
+        return False
 
-    try:
-        root = prepare(spec.root())
-        visit(new_state(root))
-        while stack:
-            if deadline is not None and time.monotonic() > deadline:
-                raise _Budget(f"time limit of {options.time_limit}s")
-            sid, sets, table = stack[-1]
-            step = next(sets, None)
-            if step is None:
-                stack.pop()
-                continue
-            if not step <= checked:
-                outside = sorted(a for a in step - checked if a[0] not in individuals
-                                 or a[1] not in spec.actions or a[2] not in individuals)
-                if outside:
-                    raise ValueError(f"step outside the alphabet: {outside!r}")
-                checked |= step
-            residual = _apply(table, step, individuals, join)
-            target = state_ids.get(residual)
-            if target is not None:
-                add_transition(sid, step, target)
-                continue
-            target = new_state(residual)
+    halted = visit(new_state(prepare(spec.root())))
+    while stack and not halted:
+        if deadline is not None and time.monotonic() > deadline:
+            raise exhausted(f"time limit of {options.time_limit}s")
+        sid, sets, table = stack[-1]
+        step = next(sets, None)
+        if step is None:
+            stack.pop()
+            continue
+        if not step <= checked:
+            outside = sorted(a for a in step - checked if a[0] not in individuals
+                             or a[1] not in spec.actions or a[2] not in individuals)
+            if outside:
+                raise ValueError(f"step outside the alphabet: {outside!r}")
+            checked |= step
+        residual = _apply(table, step, individuals, join)
+        target = state_ids.get(residual)
+        if target is not None:
             add_transition(sid, step, target)
-            visit(target)
-    except _HaltBuild:
-        pass
-    except _Budget as exc:
-        reason = (f"{exc.limit} exhausted after {len(formulas)} states"
-                  f" and {len(transitions)} transitions")
-        raise BudgetExceeded(reason, snapshot()) from None
+            continue
+        target = new_state(residual)
+        add_transition(sid, step, target)
+        halted = visit(target)
     return snapshot()
 
 

@@ -51,13 +51,12 @@ def bench(
     base_seed: int = 0,
     budget: int | None = None,
     time_limit: float | None = None,
-    complete: bool = False,
 ) -> list[dict]:
     """Generate, check and measure ``runs_per_group`` contracts per group."""
     limits = {}
     if budget is not None:
         limits = {"max_states": budget, "max_transitions": budget}
-    options = BuildOptions(complete=complete, time_limit=time_limit, **limits)
+    options = BuildOptions(time_limit=time_limit, **limits)
     rows: list[dict] = []
     seed = base_seed
     for group in groups:

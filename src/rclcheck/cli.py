@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 from typing import Sequence
 
@@ -46,6 +47,16 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1: {text!r}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 < value < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0: {text!r}")
     return value
 
 
@@ -111,8 +122,9 @@ def _run_check(args: argparse.Namespace) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc.strerror}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        print(f"error: cannot read {args.input}: {reason}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     result = parse(text)
     for diag in result.diagnostics:
@@ -181,7 +193,8 @@ def _bench_parser() -> _Parser:
     p.add_argument("--runs", type=_positive_int, default=10, help="runs per group")
     p.add_argument("--seed", type=int, default=0, help="base seed")
     p.add_argument("--budget", type=_positive_int, help="state and transition budget per run")
-    p.add_argument("--time-limit", type=float, help="wall-clock limit per run, seconds")
+    p.add_argument("--time-limit", type=_positive_seconds,
+                   help="wall-clock limit per run, seconds")
     p.add_argument("--out", metavar="PATH", help="write CSV here instead of stdout")
     return p
 

@@ -59,9 +59,6 @@ class RelativizedAction(NamedTuple):
         return f"({self.sender},{self.action},{self.receiver})"
 
 
-ConcurrentActionSet = frozenset  # of RelativizedAction
-
-
 class DeonticOp(Enum):
     OBLIGATION = "O"
     PERMISSION = "P"
@@ -98,9 +95,6 @@ class DeonticGroup:
 
     def sort_key(self) -> tuple:
         return (self.kind.value, tuple(sorted(t.sort_key() for t in self.tags)))
-
-
-DeonticGroups = frozenset  # of DeonticGroup
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +285,36 @@ def _test(rel: Relativization, action: ActionExpr):
     if rel.is_performer:
         return (rel.sender, action.name)
     return RelativizedAction(rel.sender, action.name, rel.receiver)
+
+
+def _leaf_tests(formula: Formula) -> tuple[dict, bool]:
+    """The leaf tests of a normal-form formula, and whether it tests ``1``.
+
+    Walks the ``And``/``XChoice`` spine of a state in step normal form (see
+    ``prepare``).  Each unguarded obligation or prohibition and each
+    dynamic trigger (a negated one through its inner action) asks ``_test``
+    of a step, and the keys on basic actions come back as ``{name: {key}}``,
+    names in the order of the walk.  Bodies and reparations are not tested
+    before the step and give nothing; nor do permissions, which label the
+    state but never change its residual.  A ``1`` trigger, plain or negated
+    (``O(1)`` becomes ``[!1]``), sets the wildcard flag; ``0`` is matched by
+    no step and gives nothing.
+    """
+    tests: dict[ActionName, set] = {}
+    wildcard = False
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (And, XChoice)):
+            stack.extend(f.children)
+        elif not isinstance(f, (Top, Bottom, Permission)):
+            test = f.trigger if isinstance(f, Dynamic) else f.action
+            key = _test(f.rel, test.inner if isinstance(test, Negation) else test)
+            if key is _WILDCARD:
+                wildcard = True
+            elif key is not _NEVER:
+                tests.setdefault(key if type(key) is str else key[1], set()).add(key)
+    return tests, wildcard
 
 
 def _table(formula: Formula, outcome: Callable[[Formula], Formula]) -> tuple:

@@ -542,6 +542,14 @@ def test_transition_budget_is_reported():
     )
 
 
+def test_time_limit_is_reported():
+    # The deadline passes while the root is labelled, before its first step.
+    spec = parse_or_raise((CONTRACTS / "sales-contract.rcl").read_text())
+    verdict = check(spec, BuildOptions(time_limit=1e-9))
+    assert verdict.kind is VerdictKind.INCONCLUSIVE
+    assert verdict.reason == "time limit of 1e-09s exhausted after 1 states and 0 transitions"
+
+
 # ---------------------------------------------------------------------------
 # traces
 

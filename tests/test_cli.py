@@ -76,6 +76,15 @@ def test_missing_file_exits_two(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_non_utf8_contract_exits_two(capsys, tmp_path):
+    path = tmp_path / "latin.rcl"
+    path.write_bytes(b"\xff\xfeO(a);")
+    code, out, err = run(capsys, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read {path}: not UTF-8 text\n"
+
+
 def test_budget_exhaustion_exits_three(capsys):
     code, out, _ = run(capsys, str(CONTRACTS / "sales-contract-amended.rcl"), "--budget", "5")
     assert code == 3
@@ -161,6 +170,13 @@ EXIT_CODES = {
     ("{clean}", "-g", "{missing}/out.dot"): 2,
     ("generate", "--individuals", "2", "--actions", "2", "--out", "{missing}/x.rcl"): 2,
     ("{nested}",): 2,  # deeper than the parser's nesting limit
+    ("{undecodable}",): 2,
+    ("bench", "--individuals", "2", "--actions", "2", "--time-limit", "0"): 64,
+    ("bench", "--individuals", "2", "--actions", "2", "--time-limit", "-1"): 64,
+    ("bench", "--individuals", "2", "--actions", "2", "--time-limit", "nan"): 64,
+    ("bench", "--individuals", "3..2", "--actions", "2"): 64,
+    ("bench", "--individuals", "2", "--actions", "2", "--runs", "1", "--budget", "500",
+     "--out", "{missing}/runs.csv"): 2,
 }
 
 
@@ -171,10 +187,11 @@ def test_exit_codes_are_total(capsys, tmp_path, argv):
         "clash": "{i}O(a) ^ {i}F(a);\n",
         "broken": "O(a;\n",
         "nested": "[a](" * 300 + "O(b)" + ")" * 300 + ";\n",
+        "undecodable": "\xff\xfeO(a);\n",  # its latin-1 bytes are not UTF-8
     }
     paths = {name: tmp_path / f"{name}.rcl" for name in fixtures}
     for name, text in fixtures.items():
-        paths[name].write_text(text)
+        paths[name].write_bytes(text.encode("latin-1"))
     expected = EXIT_CODES[argv]
     argv = [arg.format(missing=tmp_path / "missing", **paths) for arg in argv]
     assert main(argv) == expected
@@ -212,11 +229,12 @@ def nested_contract(kind: str, depth: int) -> str:
         "concurrency": chain("&"),
         "choice": chain("+"),
         "iteration": "[a" + "*" * depth + "](O(b));\n",
+        "bare-dynamic": "[a]" * depth + "O(b);\n",
     }[kind]
 
 
 NESTINGS = ("dynamic", "parentheses", "reparation", "sequence", "concurrency",
-            "choice", "iteration")
+            "choice", "iteration", "bare-dynamic")
 
 
 @pytest.mark.parametrize("kind", NESTINGS)

@@ -172,6 +172,10 @@ def test_errors(text):
         ("{1}O(a);", "expected an individual, found '1'"),
         ("conflict { global { (a, 1) }; }; O(a);", "expected an action name, found '1'"),
         ("O(a) _/O(b)", "expected '/_' closing the reparation, found end of input"),
+        ("conflict { global { (a, b) }; global { (a, c) }; }; O(a);",
+         "duplicate 'global' section"),
+        ("(O(a) ^ P(b)) (+) O(c);",
+         "clause choice applies only to obligation or permission clauses"),
     ],
 )
 def test_expected_token_messages(text, message):
