@@ -3,16 +3,12 @@
 States are canonical residual contracts; transitions carry the concurrent
 relativized-action set performed in one step.  Construction is a
 deterministic depth-first exploration.  A residual depends only on which of
-its state's leaf tests a step makes true, so each state gets one step per
-satisfiable valuation of those tests (the minterms of a symbolic automaton),
-built from the tests alone and holding only the actions the valuation
-needs.  The steps are a lazy product of the state's independent parts (see
-``_witnesses``), built as they are drawn, so the state and transition
-budgets bound the work however many valuations or parts a state has.  Each
-state is compiled once into a step table (see ``decompose._table``) whose
-exposed bodies and reparations are already in step normal form, prepared
-once per construction; a step's residual is read off that table with one
-lookup per leaf test, and structurally equal residuals are shared.
+its state's leaf tests a step makes true, often on only some of them, so a
+state gets one transition per cube of those tests (as a symbolic automaton
+labels transitions with predicates, not minterms), found by a lazy Shannon
+expansion of its step table (see ``_cubes``).  A transition's label is one
+witness step, the least step that realizes its cube.  Cubes are built as
+they are drawn, so the budgets bound the work however many a state has.
 """
 from __future__ import annotations
 
@@ -20,10 +16,13 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, product
+from functools import lru_cache, partial
+from itertools import chain, combinations, product, starmap
 from typing import Callable, Iterator
 
 from .decompose import (
+    _NEVER,
+    _WILDCARD,
     RelativizedAction,
     _apply,
     _leaf_tests,
@@ -32,7 +31,7 @@ from .decompose import (
     deontic_tags,
     prepare,
 )
-from .formula import ActionName, Bottom, ContractSpec, Formula, Individual, Top, join
+from .formula import ActionName, And, Bottom, ContractSpec, Formula, Individual, Top, join
 
 
 class SpecialLabel(Enum):
@@ -54,16 +53,16 @@ class Transition:
 
 @dataclass(frozen=True)
 class BuildOptions:
-    """Construction knobs.
+    """Construction knobs; a bad value raises ``ValueError``.
 
     ``complete`` keeps exploring past the first conflict.  ``no_pruning``
     is the concrete reference mode: every subset of the full
     relativized-action universe is a step, instead of one witness step per
-    valuation of a state's leaf tests.  The state and transition budgets
-    turn runaway instances into an explicit out-of-budget outcome instead
-    of an open-ended run; ``max_transitions`` counts one transition per
-    valuation (per subset under ``no_pruning``).  ``time_limit`` (in
-    seconds) does the same on the wall clock for benchmark runs.
+    cube of a state's leaf tests.  The state and transition budgets (at
+    least 1; ``max_transitions`` counts one transition per cube, or per
+    subset under ``no_pruning``) turn runaway instances into an explicit
+    out-of-budget outcome; ``time_limit`` (finite seconds above 0) does the
+    same on the wall clock.
     """
 
     complete: bool = False
@@ -75,6 +74,10 @@ class BuildOptions:
     def __post_init__(self) -> None:
         if self.max_states < 1:
             raise ValueError("max_states must be at least 1")
+        if self.max_transitions < 1:
+            raise ValueError("max_transitions must be at least 1")
+        if self.time_limit is not None and not 0 < self.time_limit < float("inf"):
+            raise ValueError("time_limit must be a finite number of seconds above 0")
 
 
 @dataclass(frozen=True)
@@ -115,12 +118,7 @@ def relativized_universe(
     individuals: frozenset[Individual], actions: frozenset[ActionName]
 ) -> frozenset:
     """Full sender x action x receiver product."""
-    return frozenset(
-        RelativizedAction(s, a, r)
-        for s in individuals
-        for a in actions
-        for r in individuals
-    )
+    return frozenset(starmap(RelativizedAction, product(individuals, actions, individuals)))
 
 
 def action_set_count(universe_size: int) -> int:
@@ -128,30 +126,20 @@ def action_set_count(universe_size: int) -> int:
     return 2**universe_size - 1
 
 
-def _matching(key, individuals: frozenset[Individual]) -> Iterator[RelativizedAction]:
+def _matching(key, individuals: frozenset[Individual]) -> list[RelativizedAction]:
     """The actions that make a leaf test (see ``decompose._test``) true on
     their own, or, for a global test, together."""
     if type(key) is RelativizedAction:
-        yield key
-    elif type(key) is tuple:  # a performer's (sender, name)
-        for r in individuals:
-            yield RelativizedAction(*key, r)
-    else:  # a global test's name
-        for s in individuals:
-            for r in individuals:
-                yield RelativizedAction(s, key, r)
+        return [key]
+    senders, name = ((key[0],), key[1]) if type(key) is tuple else (individuals, key)
+    return [RelativizedAction(s, name, r) for s in senders for r in individuals]
 
 
-def _spare(
-    tests: dict, individuals: frozenset[Individual], actions: frozenset[ActionName]
-) -> frozenset:
+def _spare(taken: Callable[[tuple], bool], individuals: frozenset, actions: frozenset) -> frozenset:
     """The least action of the ``individuals`` x ``actions`` universe that
-    no test reads, as a singleton, or nothing when there is none.  A test
-    reads an action when its key is the action itself, the action's
-    ``(sender, name)`` or the action's name."""
+    is not ``taken``, as a singleton, or nothing when there is none."""
     for action in product(sorted(individuals), sorted(actions), sorted(individuals)):
-        keys = tests.get(action[1], ())
-        if action not in keys and action[:2] not in keys and action[1] not in keys:
+        if not taken(action):
             return frozenset({RelativizedAction(*action)})
     return frozenset()
 
@@ -171,136 +159,154 @@ def relevant_universe(
     of it.  Only a wildcard test tells that step from the empty one, so
     when a wildcard is present one spare action stands for all such steps:
     the least one of the ``individuals`` x ``actions`` universe that no
-    test reads (see ``_spare``), if there is one.  Actions only
-    permissions mention are not in the result.
+    test reads (its key is the action, the action's ``(sender, name)`` or
+    its name), if there is one.  Actions only permissions mention are not
+    in the result.
     """
     tests, wildcard = _leaf_tests(formula)
     tested = frozenset(a for keys in tests.values() for key in keys
                        for a in _matching(key, individuals))
-    return tested | _spare(tests, individuals, actions) if wildcard else tested
+    spare = _spare(lambda a: any(key in tests.get(a[1], ()) for key in (a, a[:2], a[1])),
+                   individuals, actions) if wildcard else frozenset()
+    return tested | spare
 
 
-def _subsets(actions: list) -> Iterator[frozenset]:
-    """Every subset of sorted ``actions``, in ``combinations`` order."""
-    for size in range(len(actions), -1, -1):
-        for subset in combinations(actions, size):
-            yield frozenset(subset)
+def _cubes(
+    table: tuple, individuals: frozenset[Individual], actions: frozenset[ActionName]
+) -> Iterator[tuple[frozenset, Formula, dict]]:
+    """``(witness, residual, {test key: outcome})`` for each satisfiable cube.
 
-
-def _row_steps(row: list, toggled: set, performer: bool) -> list[frozenset]:
-    """One sender's steps on one name, given its row of actions in receiver
-    order: each nonempty subset of the row's directed cells, largest first;
-    then, with no directed test true, the row's least action without one,
-    which performs the name, and for a performer test the empty row (the
-    empty row alone when every cell is directed).  The last step has all
-    of the row's tests false."""
-    steps = list(_subsets([a for a in row if a in toggled]))
-    untested = next((a for a in row if a not in toggled), None)
-    if untested is not None:
-        steps[-1] = frozenset({untested})
-        if performer:
-            steps.append(frozenset())
-    return steps
-
-
-def _global_steps(rows: list[list]) -> Iterator[frozenset]:
-    """A name with a global test, from the row steps of every individual.
-
-    Each choice of row steps (one per individual, in sorted order, the last
-    moving fastest) yields its step, which makes the global test true when
-    every row performs and false when one row is empty.  A choice whose
-    rows all perform then yields the same step without its last free row,
-    one whose row step has all its tests false, which makes the global
-    test false.
-    """
-    for parts in product(*rows):
-        step = frozenset().union(*parts)
-        yield step
-        if all(parts):
-            free = [part for row, part in zip(rows, parts) if part is row[-1]]
-            if free:
-                yield step - free[-1]
-
-
-def _product(parts: list[Iterator[frozenset]]) -> Iterator[frozenset]:
-    """The union of one step from each part, for every choice of steps,
-    the last part moving fastest.  Every part has at least one step.
-
-    An odometer: each part is read as far as the choices need and kept, so
-    that it can start over, and a loop rather than recursion carries the
-    turn from one part to the one before it, however many parts there are.
-    """
-    read = [[next(part)] for part in parts]
-    index = [0] * len(parts)
-    while True:
-        yield frozenset().union(*(steps[i] for steps, i in zip(read, index)))
-        j = len(parts) - 1
-        while j >= 0:
-            index[j] += 1
-            if index[j] < len(read[j]):
-                break
-            step = next(parts[j], None)
-            if step is not None:
-                read[j].append(step)
-                break
-            index[j] = 0
-            j -= 1
-        else:
-            return
-
-
-def _witnesses(
-    tests: dict,
-    wildcard: bool,
-    individuals: frozenset[Individual],
-    actions: frozenset[ActionName],
-) -> Iterator[frozenset]:
-    """One step per satisfiable valuation of a state's leaf tests, built
-    from their keys alone (see ``decompose._leaf_tests``).
-
-    Each name's keys split by type into directed cells, the senders of
-    performer tests and a global test.  A step holds only what its valuation
-    needs: the cell of each true directed test, and one action of each row
-    that must perform a name for a true performer or global test.  The steps
-    are the lazy product (see ``_product``) of the state's independent
-    parts: each name with a global test (see ``_global_steps``), the row of
-    each sender with a performer test (see ``_row_steps``), and the cells of
-    the other directed tests, free to come and go, in ``combinations``
-    order.  Rows are built from the sorted individuals only for performer
-    and global tests.  So a state whose only tests are directed ones gets
-    every subset of their cells, in ``combinations`` order.  When a wildcard
-    is tested, the spare action (see ``_spare``) stands in for the step that
-    would otherwise be empty, and the empty step comes last.
+    A lazy Shannon expansion of a step table: fix one open leaf test at a
+    time, true side first, in one fixed order (by name; within a name
+    directed keys, then performers, then the global test; the wildcard
+    last), and fold each decided leaf up the spine until the root, the
+    residual, is decided.  Spine nodes count their undecided children and a
+    trail undoes counts, values and tests on backtrack, so a split costs
+    about as much as the leaves that read its test.  The witness is the
+    least step that realizes the cube: the cell of each true directed test,
+    one action of each other row that must perform, and for a true wildcard
+    alone the least action that keeps every fixed test.
     """
     order = sorted(individuals)
-    toggles, parts = [], []
-    for name, keys in tests.items():
-        toggled, performers, global_test = set(), set(), False
-        for key in keys:
-            if type(key) is RelativizedAction:
-                toggled.add(key)
-            elif type(key) is tuple:
-                performers.add(key[0])
+    nodes: list[tuple] = []  # leaves as in the table, spine nodes as (kind, child ids)
+    parent: list[int] = []
+    left: list[int] = []  # each spine node's undecided children
+    value: list = []  # each decided node's value, else None
+    readers: dict = {}  # test key -> the leaves that read it
+    trail: list = []  # n: value[n] was set; ~n: left[n] fell; a test key: it was fixed
+
+    def flatten(node: tuple, up: int) -> int:
+        n = len(nodes)
+        nodes.append(node)
+        parent.append(up)
+        value.append(None)
+        left.append(len(node[1]) if len(node) == 2 else 0)
+        if len(node) == 2:
+            nodes[n] = node[0], [flatten(child, n) for child in node[1]]
+        else:  # a leaf whose outcome no step changes reads the never-true test
+            readers.setdefault(_NEVER if node[1] is node[2] else node[0], []).append(n)
+        return n
+
+    def decide(n: int, v: Formula) -> None:
+        value[n] = v
+        trail.append(n)
+        p = parent[n]
+        while p >= 0 and value[p] is None:
+            kind, kids = nodes[p]
+            if type(v) is not (Bottom if kind is And else Top):  # not absorbing
+                left[p] -= 1
+                trail.append(~p)
+                if left[p]:
+                    return
+                v = join(kind, [value[c] for c in kids])
+            value[p] = v
+            trail.append(p)
+            p = parent[p]
+
+    def live(n: int) -> bool:
+        while n >= 0 and value[n] is None:
+            n = parent[n]
+        return n < 0
+
+    flatten(table, -1)
+    for n in readers.pop(_NEVER, ()):
+        decide(n, nodes[n][2])
+    keys = sorted((key for key in readers if key is not _WILDCARD),
+                  key=lambda k: (k, 2) if type(k) is str else (k[1], type(k) is tuple, k))
+    fixed: dict = {}  # the cube: test key -> outcome
+    cells: dict = {}  # (sender, name) -> how many of its row's cells are fixed [false, true]
+    parts: dict = {}  # true test key -> the actions it adds to the witness
+    if _WILDCARD in readers:
+        keys.append(_WILDCARD)
+        names = actions.union(key if type(key) is str else key[1] for key in keys[:-1])
+        spare = partial(_spare, lambda a: fixed.get(a) is False or fixed.get(a[:2]) is False
+                        or len(order) == 1 and fixed.get(a[1]) is False, individuals, names)
+
+    def performing(rows: list[tuple]) -> list[RelativizedAction]:
+        # One action for each row without a true cell: its least cell not fixed false.
+        return [RelativizedAction(*row, next(r for r in order if fixed.get((*row, r)) is not False)
+                                  if cells.get(row, (0, 0))[0] else order[0])
+                for row in rows if not cells.get(row, (0, 0))[1]]
+
+    def fix(key, v: bool) -> bool:
+        # Decide the leaves that read a test, unless its name's fixed tests
+        # cannot then all hold: by the key order, a check sees all of them.
+        if key is _WILDCARD and (True in fixed.values() if not v else
+                                 True not in fixed.values() and not spare()):
+            return False  # false with a true test, or true with no action left to take
+        fixed[key] = v
+        trail.append(key)
+        if type(key) is RelativizedAction:
+            cells.setdefault(key[:2], [0, 0])[v] += 1
+        elif type(key) is tuple:  # a performer
+            false, true = cells.get(key, (0, 0))
+            if false == len(order) if v else true:
+                return False  # every cell of its row false, or one true
+        elif type(key) is str:  # a global test: every sender can perform, or one may idle
+            rows = [(fixed.get((s, key)), *cells.get((s, key), (0, 0))) for s in order]
+            if ([p for p, false, _ in rows if p is False or false == len(order)] if v
+                    else not [p for p, _, true in rows if not (p or true)]):
+                return False
+        if v and key is not _WILDCARD:  # every other key of its name is fixed or shut
+            parts[key] = (key,) if type(key) is RelativizedAction else performing(
+                [key] if type(key) is tuple else [(s, key) for s in order])
+        for n in readers[key]:
+            decide(n, nodes[n][1] if v else nodes[n][2])
+            if value[0] is not None:
+                break
+        return True
+
+    todo = [(0, len(trail), None)]  # (key index, trail mark, outcome to fix first)
+    while todo:
+        i, mark, v = todo.pop()
+        for n in reversed(trail[mark:]):
+            if type(n) is not int:
+                if type(n) is RelativizedAction:
+                    cells[n[:2]][fixed[n]] -= 1
+                del fixed[n]
+                parts.pop(n, None)
+            elif n < 0:
+                left[~n] += 1
             else:
-                global_test = True
-        rows = [_row_steps([RelativizedAction(sender, name, r) for r in order], toggled,
-                           sender in performers)
-                for sender in (order if global_test else sorted(performers))]
-        if global_test:
-            parts.append(_global_steps(rows))
-        else:
-            parts.extend(map(iter, rows))
-            toggles.extend(a for a in toggled if a.sender not in performers)
-    if toggles:
-        parts.append(_subsets(sorted(toggles)))
-    spare = _spare(tests, individuals, actions) if wildcard else frozenset()
-    for step in parts[0] if len(parts) == 1 else _product(parts):
-        if step or not wildcard:
-            yield step
-        elif spare:
-            yield spare
-    if wildcard:
-        yield frozenset()
+                value[n] = None
+        del trail[mark:]
+        if v is not None:
+            if not fix(keys[i], v):
+                continue
+            i += 1
+        if value[0] is not None:
+            step = frozenset(chain.from_iterable(parts.values()))
+            yield step if step or not fixed.get(_WILDCARD) else spare(), value[0], dict(fixed)
+            continue
+        # Liveness only falls along a path: a key once shut stays shut.
+        while not any(map(live, readers[keys[i]])):
+            i += 1
+        todo += (i, len(trail), False), (i, len(trail), True)
+
+
+@lru_cache(maxsize=4)
+def _sorted_universe(individuals: frozenset, actions: frozenset) -> tuple:
+    return tuple(sorted(relativized_universe(individuals, actions)))
 
 
 def enumerate_action_sets(
@@ -308,23 +314,25 @@ def enumerate_action_sets(
     individuals: frozenset[Individual],
     options: BuildOptions = BuildOptions(),
     actions: frozenset[ActionName] = frozenset(),
-) -> Iterator[frozenset]:
-    """Candidate concurrent action sets for one state.
+    outcome: Callable[[Formula], Formula] = prepare,
+) -> Iterator[tuple[frozenset, Formula, dict | None]]:
+    """The transitions of one state, as lazy ``(step, residual, cube)``.
 
-    By default there is one set per satisfiable valuation of the formula's
-    leaf tests (see ``_witnesses``), holding only the actions that
-    valuation needs.  The sets are built as they are drawn, so a budget
-    stops the walk whatever the number of valuations.  Under
-    ``options.no_pruning`` it is the concrete reference instead: every
-    subset of the full universe over ``actions``, largest first, then in
-    the serialization order of the sorted universe.  Either way a set that
-    is produced empty comes last.
+    The state is compiled into its step table (see ``decompose._table``),
+    with bodies and reparations put through ``outcome``, so a residual is
+    ``prepare(decompose(formula, step))``.  There is one item per
+    satisfiable cube of the state's leaf tests (see ``_cubes``), or, under
+    ``options.no_pruning``, the concrete reference: every subset of the
+    full universe over ``actions`` (cube ``None``), largest first, then in
+    ``combinations`` order of the sorted universe.
     """
-    if options.no_pruning:
-        yield from _subsets(sorted(relativized_universe(individuals, actions)))
-        return
-    tests, wildcard = _leaf_tests(formula)
-    yield from _witnesses(tests, wildcard, individuals, actions)
+    table = _table(formula, outcome)
+    if not options.no_pruning:
+        return _cubes(table, individuals, actions)
+    universe = _sorted_universe(individuals, actions)
+    return ((step, _apply(table, step, individuals, join), None)
+            for size in range(len(universe), -1, -1)
+            for step in map(frozenset, combinations(universe, size)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +348,10 @@ def construct(
 ) -> ContractAutomaton:
     """Build the automaton of a contract by repeated decomposition.
 
-    Each state is compiled into its step table when it is visited, with
-    every exposed body and reparation put through ``prepare`` once per
-    construction, so a step's residual, ``prepare(decompose(state, step))``,
-    is the table's leaf outcomes joined canonically (see ``formula.join``).
-    Every action of a step is checked against the alphabet the first time
-    a step holds it.
+    A state's transitions come from ``enumerate_action_sets``, looked up
+    when the state is visited, with each exposed body and reparation
+    prepared once per construction.  Every action of a step is checked
+    against the alphabet the first time a step holds it.
     ``on_state`` runs on every state as soon as it is labelled, before its
     successors are explored; returning True marks the state as conflicting
     and, unless ``options.complete`` is set, halts the construction there:
@@ -357,14 +363,9 @@ def construct(
     prepared: dict[Formula, Formula] = {}
 
     def prepare_once(formula: Formula) -> Formula:
-        out = prepared.get(formula)
-        if out is None:
-            out = prepared[formula] = prepare(formula)
-        return out
+        return prepared.get(formula) or prepared.setdefault(formula, prepare(formula))
 
-    deadline = None
-    if options.time_limit is not None:
-        deadline = time.monotonic() + options.time_limit
+    deadline = None if options.time_limit is None else time.monotonic() + options.time_limit
 
     formulas: list[Formula] = []
     groups: list[frozenset] = []
@@ -393,7 +394,7 @@ def construct(
             raise exhausted(f"transition budget of {options.max_transitions}")
         transitions.append(Transition(source, label, target))
 
-    stack: list[tuple[int, Iterator[frozenset], tuple]] = []
+    stack: list[tuple[int, Iterator[tuple]]] = []
 
     def new_state(formula: Formula) -> int:
         if len(formulas) >= options.max_states:
@@ -407,8 +408,7 @@ def construct(
     def visit(sid: int) -> bool:
         # The conflict callback runs first, and True means it halts the
         # build; satisfied and violated residuals become self-looping
-        # sinks, everything else gets its action sets enumerated and is
-        # explored depth-first.
+        # sinks, everything else is expanded into cubes depth-first.
         nonlocal violation
         formula = formulas[sid]
         if on_state is not None and on_state(sid, formula, groups[sid]):
@@ -421,26 +421,26 @@ def construct(
             violation = sid
             add_transition(sid, SpecialLabel.VIOLATION_LOOP, sid)
         else:
-            stack.append((sid, enumerate_action_sets(formula, individuals, options, spec.actions),
-                          _table(formula, prepare_once)))
+            stack.append((sid, enumerate_action_sets(formula, individuals, options,
+                                                     spec.actions, prepare_once)))
         return False
 
     halted = visit(new_state(prepare(spec.root())))
     while stack and not halted:
         if deadline is not None and time.monotonic() > deadline:
             raise exhausted(f"time limit of {options.time_limit}s")
-        sid, sets, table = stack[-1]
-        step = next(sets, None)
-        if step is None:
+        sid, cubes = stack[-1]
+        item = next(cubes, None)
+        if item is None:
             stack.pop()
             continue
+        step, residual, _ = item
         if not step <= checked:
             outside = sorted(a for a in step - checked if a[0] not in individuals
                              or a[1] not in spec.actions or a[2] not in individuals)
             if outside:
                 raise ValueError(f"step outside the alphabet: {outside!r}")
             checked |= step
-        residual = _apply(table, step, individuals, join)
         target = state_ids.get(residual)
         if target is not None:
             add_transition(sid, step, target)

@@ -89,7 +89,7 @@ def _check_parser() -> _Parser:
                    help="export the constructed automaton to a DOT file")
     p.add_argument("-n", "--no-pruning", action="store_true",
                    help="concrete reference mode: step over every subset of the action "
-                        "universe, not one witness step per valuation of a state's tests")
+                        "universe, not one witness step per cube of a state's tests")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="also print state formulas and transition action sets")
     p.add_argument("--budget", type=_positive_int, metavar="N",

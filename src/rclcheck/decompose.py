@@ -244,11 +244,11 @@ def decompose(
     The formula must already be in step normal form (see ``prepare``):
     every test is on a basic action, ``1`` or ``0``, and iteration has been
     unfolded.  The outcome therefore depends only on which of those leaf
-    tests the step makes true, which is what lets ``relevant_universe``
-    prune the steps of a state.  The formula is compiled whole into a step
-    table (see ``_table``) before the step is applied, so a compound test
-    or a raw ``Star`` trigger raises ``ValueError`` even behind a breached
-    sibling.  The residual has its constants folded (see ``fold``), but it
+    tests the step makes true, which is what lets the automaton give a
+    state one transition per cube of its tests.  The formula is compiled
+    whole into a step table (see ``_table``) before the step is applied, so
+    a compound test or a raw ``Star`` trigger raises ``ValueError`` even
+    behind a breached sibling.  The residual has its constants folded (see ``fold``), but it
     is not canonical: bodies and reparations exposed by the step are
     returned as written, and the caller applies ``prepare``, the step
     normal form, before the next step.

@@ -178,8 +178,8 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
     into its step table, which every subset is then applied to.
 
     Every subset of ``relevant_universe`` is a step here, so the engine's
-    enumerator, one witness step per valuation of a state's leaf tests, is
-    not the oracle's.  The universe itself, spare action included, is
+    enumerator, one witness step per cube of a state's leaf tests, is not
+    the oracle's.  The universe itself, spare action included, is
     shared with the engine: a defect in it shows the same way in both, and
     only the concrete mode (``BuildOptions(no_pruning=True)``, ``-n``),
     which steps over the whole universe, can catch it.

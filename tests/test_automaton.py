@@ -12,7 +12,6 @@ from rclcheck import (
     ONE,
     TOP,
     ZERO,
-    And,
     Atom,
     Bottom,
     BudgetExceeded,
@@ -28,7 +27,6 @@ from rclcheck import (
     Star,
     Top,
     VerdictKind,
-    XChoice,
     action_set_count,
     check,
     conj,
@@ -46,7 +44,6 @@ from rclcheck import (
     run_check,
     trace_to,
 )
-from rclcheck.decompose import trigger_matched
 from rclcheck.generator import generate
 
 from conftest import CONTRACTS
@@ -80,8 +77,7 @@ def test_relevance_restricts_to_compatible_actions():
     formula = Obligation(directed("i", "j"), Atom("a"))
     individuals = frozenset({"i", "j"})
     assert relevant_universe(formula, individuals) == {ra("i", "a", "j")}
-    sets = list(enumerate_action_sets(formula, individuals))
-    assert sets == [frozenset({ra("i", "a", "j")}), frozenset()]
+    assert list(steps(formula, individuals)) == [frozenset({ra("i", "a", "j")}), frozenset()]
 
 
 def test_relevance_skips_dynamic_bodies_and_reparations():
@@ -143,69 +139,83 @@ def test_spare_witness_finds_the_conflict(text):
     assert oracle_verdict(spec).conflict
 
 
+def steps(formula, individuals, actions=frozenset()):
+    """The witness steps of a state's transitions, lazily and in order."""
+    return (step for step, _, _ in
+            enumerate_action_sets(formula, frozenset(individuals), actions=frozenset(actions)))
+
+
 def test_trivial_formula_enumerates_only_the_empty_step():
-    assert list(enumerate_action_sets(TOP, frozenset({"i"}))) == [frozenset()]
+    assert list(enumerate_action_sets(TOP, frozenset({"i"}))) == [(frozenset(), TOP, {})]
 
 
 # ---------------------------------------------------------------------------
-# witness steps: one per satisfiable valuation of a state's leaf tests
+# cubes: one transition per cube of a state's leaf tests
 
 
 def rows(name, senders, individuals):
     return frozenset(ra(s, name, r) for s in senders for r in individuals)
 
 
-def test_false_global_test_drops_the_last_free_row():
+def test_false_global_test_leaves_the_free_rows_idle():
     individuals = frozenset({"i", "j", "k"})
     formula = conj(Obligation(GLOBAL, Atom("a")),
                    Dynamic(directed("k", "k"), Atom("a"), Obligation(GLOBAL, Atom("b"))))
-    # Each row performs with one action: its directed cell when that test
-    # is true, else its least action without a directed test.
+    # A name's directed tests split before its global test.  Each row that
+    # must perform holds its directed cell when that test is true, else its
+    # least cell not fixed false; a row that need not perform stays empty.
     assert list(enumerate_action_sets(formula, individuals)) == [
-        {ra("i", "a", "i"), ra("j", "a", "i"), ra("k", "a", "k")},  # both true
-        # Global false, directed true: k is pinned, j is the last free row.
-        {ra("i", "a", "i"), ra("k", "a", "k")},
-        {ra("i", "a", "i"), ra("j", "a", "i"), ra("k", "a", "i")},  # global true
-        {ra("i", "a", "i"), ra("j", "a", "i")},                     # both false
+        ({ra("i", "a", "i"), ra("j", "a", "i"), ra("k", "a", "k")}, Obligation(GLOBAL, Atom("b")),
+         {ra("k", "a", "k"): True, "a": True}),
+        ({ra("k", "a", "k")}, BOTTOM, {ra("k", "a", "k"): True, "a": False}),
+        ({ra("i", "a", "i"), ra("j", "a", "i"), ra("k", "a", "i")}, TOP,
+         {ra("k", "a", "k"): False, "a": True}),
+        (frozenset(), BOTTOM, {ra("k", "a", "k"): False, "a": False}),
     ]
 
 
 def test_performer_witness_holds_one_action():
     individuals = frozenset({"i", "j", "k"})
     formula = Obligation(performer("i"), Atom("a"))
-    assert list(enumerate_action_sets(formula, individuals)) == [
-        {ra("i", "a", "i")}, frozenset()
-    ]
+    assert list(steps(formula, individuals)) == [{ra("i", "a", "i")}, frozenset()]
 
 
 def test_unsatisfiable_valuation_is_skipped():
     # A true global test with a false performer test on the same name
     # cannot happen: every individual, i included, performs the action.
     individuals = frozenset({"i", "j"})
-    formula = conj(Obligation(GLOBAL, Atom("a")), Obligation(performer("i"), Atom("a")))
-    assert list(enumerate_action_sets(formula, individuals)) == [
-        {ra("i", "a", "i"), ra("j", "a", "i")},   # both true
-        {ra("i", "a", "i")},                      # global false, performer true
-        {ra("j", "a", "i")},                      # both false: i's row is already empty
+    formula = conj(Dynamic(performer("i"), Atom("a"), Obligation(GLOBAL, Atom("b"))),
+                   Dynamic(GLOBAL, Atom("a"), Obligation(GLOBAL, Atom("c"))))
+    assert [(step, cube) for step, _, cube in enumerate_action_sets(formula, individuals)] == [
+        ({ra("i", "a", "i"), ra("j", "a", "i")}, {("i", "a"): True, "a": True}),
+        ({ra("i", "a", "i")}, {("i", "a"): True, "a": False}),
+        (frozenset(), {("i", "a"): False, "a": False}),
     ]
+
+
+def test_breached_obligations_end_their_cubes():
+    # A false test whose leaf breaches the whole state decides it: 30
+    # obligations give 31 cubes, not 2**30 valuations.
+    text = "".join(f"{{i,j}}O(a{k}); " for k in range(30))
+    outcome = run_check(parse_or_raise(text), BuildOptions(max_transitions=1_000))
+    assert outcome.verdict.kind is VerdictKind.CONFLICT_FREE
+    assert len(outcome.automaton.transitions) == 33
 
 
 @pytest.mark.parametrize("wildcard", [ONE, Negation(ONE)], ids=["[1]", "[!1]"])
 def test_wildcard_valuations_use_the_spare_action(wildcard):
     individuals = frozenset({"i", "j"})
     actions = frozenset({"a", "b"})
-    body = Obligation(GLOBAL, Atom("b"))
-    alone = Dynamic(GLOBAL, wildcard, body)
+    alone = Dynamic(GLOBAL, wildcard, Obligation(GLOBAL, Atom("b")))
     # True: the spare action alone; false: the empty step.
-    assert list(enumerate_action_sets(alone, individuals, actions=actions)) == [
-        frozenset({ra("i", "a", "i")}), frozenset()
-    ]
-    guarded = conj(Obligation(directed("i", "i"), Atom("a")), alone)
-    # The spare action joins only the step that would otherwise be empty.
-    assert list(enumerate_action_sets(guarded, individuals, actions=actions)) == [
-        frozenset({ra("i", "a", "i")}),   # test true
-        frozenset({ra("i", "a", "j")}),   # test false, step nonempty
-        frozenset(),
+    assert list(steps(alone, individuals, actions)) == [{ra("i", "a", "i")}, frozenset()]
+    guarded = conj(Prohibition(directed("i", "i"), Atom("a")), alone)
+    # With no other test true, the spare is the least action that keeps
+    # every fixed test false.
+    assert list(steps(guarded, individuals, actions)) == [
+        {ra("i", "a", "i")},   # the prohibition breached: the wildcard is never read
+        {ra("i", "a", "j")},   # wildcard true
+        frozenset(),           # wildcard false
     ]
 
 
@@ -213,70 +223,57 @@ def test_wildcard_without_a_spare_needs_a_tested_action():
     individuals = frozenset({"i"})
     formula = conj(Obligation(GLOBAL, Atom("a")), Dynamic(GLOBAL, ONE, TOP))
     # With every action tested, a nonempty step makes the global test true.
-    assert list(enumerate_action_sets(formula, individuals, actions=frozenset({"a"}))) == [
-        frozenset({ra("i", "a", "i")}), frozenset()
-    ]
+    assert list(steps(formula, individuals, frozenset({"a"}))) == [{ra("i", "a", "i")}, frozenset()]
 
 
-def leaf_tests(formula):
-    """The (rel, action) tests ``decompose`` reads at a normal-form state."""
-    out, stack = set(), [formula]
-    while stack:
-        f = stack.pop()
-        if isinstance(f, (And, XChoice)):
-            stack.extend(f.children)
-        elif isinstance(f, (Obligation, Prohibition, Dynamic)):
-            test = f.trigger if isinstance(f, Dynamic) else f.action
-            out.add((f.rel, test.inner if isinstance(test, Negation) else test))
-    return sorted(out, key=repr)
+def holds(key, step, individuals):
+    """Whether a step makes a leaf test true (see ``decompose._test``)."""
+    if key is True:
+        return bool(step)
+    if type(key) is RelativizedAction:
+        return key in step
+    if type(key) is tuple:
+        return any(a[:2] == key for a in step)
+    return individuals <= {a.sender for a in step if a.action == key}
 
 
-def valuation(tests, step, individuals):
-    return tuple(trigger_matched(rel, act, step, individuals) for rel, act in tests)
-
-
-def valuations_of_witnesses(formula, individuals, actions):
-    """The valuation each witness step of a state makes, checked to reach
-    every satisfiable valuation of its leaf tests exactly once, and those
-    valuations in the order a walk over every subset of the universe,
-    largest first, first reaches them.  The universe is the whole
-    relativized one when it is small, so that the check does not trust
-    ``relevant_universe``."""
+def check_cubes(formula, individuals, actions):
+    """Brute force over every subset of the universe: each step's valuation
+    of the state's leaf tests lies in exactly one cube, whose residual is
+    the step's prepared decomposition, and each cube's witness realizes it.
+    The universe is the whole relativized one when it is small, so that the
+    check does not trust ``relevant_universe``."""
     universe = relativized_universe(individuals, actions)
-    if len(universe) > 12:
+    if len(universe) > 10:
         universe = relevant_universe(formula, individuals, actions)
-    tests = leaf_tests(formula)
-    reference = list(dict.fromkeys(
-        valuation(tests, frozenset(subset), individuals)
-        for size in range(len(universe), -1, -1)
-        for subset in combinations(sorted(universe), size)))
-    steps = enumerate_action_sets(formula, individuals, BuildOptions(), actions)
-    witnesses = [valuation(tests, step, individuals) for step in steps]
-    assert len(set(witnesses)) == len(witnesses)
-    assert set(witnesses) == set(reference)
-    return witnesses, reference
+    cubes = list(enumerate_action_sets(formula, individuals, BuildOptions(), actions))
+    for witness, residual, cube in cubes:
+        assert all(holds(key, witness, individuals) is v for key, v in cube.items())
+        assert prepare(decompose(formula, witness, individuals, actions)) == residual
+    for size in range(len(universe) + 1):
+        for subset in combinations(sorted(universe), size):
+            step = frozenset(subset)
+            inside = [residual for _, residual, cube in cubes
+                      if all(holds(key, step, individuals) is v for key, v in cube.items())]
+            assert inside == [prepare(decompose(formula, step, individuals, actions))]
 
 
 @settings(max_examples=60, deadline=None)
-@given(n_individuals=st.integers(1, 3), n_actions=st.integers(1, 3),
-       clauses=st.integers(1, 2), seed=st.integers(0, 10**6))
-def test_witnesses_reach_each_valuation_once(n_individuals, n_actions, clauses, seed):
-    spec = generate(individuals=n_individuals, actions=n_actions, clauses=clauses,
-                    max_depth=3, seed=seed)
-    options = BuildOptions(complete=True, max_states=60, max_transitions=2_000)
+@given(n_individuals=st.integers(2, 3), clauses=st.integers(1, 2), seed=st.integers(0, 10**6))
+def test_cubes_partition_the_satisfiable_valuations(n_individuals, clauses, seed):
+    spec = generate(individuals=n_individuals, actions=2, clauses=clauses, max_depth=3, seed=seed)
+    options = BuildOptions(complete=True, max_states=40, max_transitions=2_000)
     try:
         automaton = construct(spec, options)
     except BudgetExceeded as exc:
         automaton = exc.automaton
     individuals = spec.effective_individuals
     for formula in automaton.formulas:
-        if isinstance(formula, (Top, Bottom)):
-            continue
-        # Keep the reference walk over every subset small.
-        if min(len(relativized_universe(individuals, spec.actions)),
-               len(relevant_universe(formula, individuals, spec.actions))) > 12:
-            continue
-        valuations_of_witnesses(formula, individuals, spec.actions)
+        # Keep the walk over every subset small.
+        if not isinstance(formula, (Top, Bottom)) and min(
+                len(relativized_universe(individuals, spec.actions)),
+                len(relevant_universe(formula, individuals, spec.actions))) <= 10:
+            check_cubes(formula, individuals, spec.actions)
 
 
 @settings(max_examples=30, deadline=None)
@@ -301,70 +298,57 @@ LEAVES = [
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(2, 3), st.lists(st.tuples(st.sampled_from(RELS), st.sampled_from("ab"),
-                                             st.integers(0, len(LEAVES) - 1)),
-                                   min_size=1, max_size=6))
-def test_witnesses_of_drawn_leaf_tests(n_individuals, leaves):
-    # Global, performer and directed tests mixed on one or two names, so a
-    # global test meets performer rows and directed cells of its own name.
-    individuals = frozenset("ijk"[:n_individuals])
-    leaves = [(rel, name, kind) for rel, name, kind in leaves
-              if rel.is_global or rel.sender in individuals]
-    assume(leaves)
-    formula = prepare(conj(*(LEAVES[kind](rel, Atom(name)) for rel, name, kind in leaves)))
-    actions = frozenset("abc")
-    assume(len(relevant_universe(formula, individuals, actions)) <= 10)
-    valuations_of_witnesses(formula, individuals, actions)
-
-
-DIRECTED = [rel for rel in RELS if rel.is_directed]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 3), st.lists(st.tuples(st.sampled_from(DIRECTED), st.sampled_from("ab"),
+@given(st.integers(1, 3), st.lists(st.tuples(st.sampled_from(RELS), st.sampled_from("ab"),
                                              st.integers(0, len(LEAVES) - 1)),
                                    min_size=1, max_size=6),
        st.sampled_from([None, ONE, Negation(ONE)]))
-def test_directed_tests_keep_combinations_order(n_individuals, leaves, wildcard):
-    # Only directed tests decide: the steps come in the order a walk over
-    # every subset of the universe first reaches each valuation.
+def test_witnesses_of_drawn_leaf_tests(n_individuals, leaves, wildcard):
+    # Global, performer and directed tests mixed on one or two names, so a
+    # global test meets performer rows and directed cells of its own name,
+    # with or without a wildcard.  With one individual, a global test is
+    # made true by a single action.
     individuals = frozenset("ijk"[:n_individuals])
     parts = [LEAVES[kind](rel, Atom(name)) for rel, name, kind in leaves
-             if rel.sender in individuals]
+             if rel.individuals() <= individuals]
     if wildcard is not None:
-        parts.append(Dynamic(directed("i", "j"), wildcard, Obligation(GLOBAL, Atom("c"))))
+        parts.append(Dynamic(GLOBAL, wildcard, Obligation(GLOBAL, Atom("c"))))
     assume(parts)
     formula = prepare(conj(*parts))
     actions = frozenset("abc")
     assume(len(relevant_universe(formula, individuals, actions)) <= 10)
-    witnesses, reference = valuations_of_witnesses(formula, individuals, actions)
-    assert witnesses == reference
+    check_cubes(formula, individuals, actions)
 
 
 def test_witnesses_are_drawn_lazily():
-    # 2**40 valuations on distinct names, and 2**37 on one name with a
-    # global test: only the steps that are read get built.
+    # 2**30 cubes on distinct names, and 2**21 on one name with a global
+    # test: only the cubes that are read get built.
     individuals = frozenset({"i", "j"})
-    names = [f"a{k:02}" for k in range(40)]
-    formula = conj(*(Obligation(directed("i", "j"), Atom(name)) for name in names))
+    names = [f"a{k:02}" for k in range(30)]
+    formula = prepare(conj(*(Dynamic(directed("i", "j"), Atom(name),
+                                     Obligation(directed("i", "j"), Atom("b" + name)))
+                             for name in names)))
     everything = frozenset(ra("i", name, "j") for name in names)
-    assert list(islice(enumerate_action_sets(formula, individuals), 3)) == [
-        everything, everything - {ra("i", "a39", "j")}, everything - {ra("i", "a38", "j")}
+    assert list(islice(steps(formula, individuals), 3)) == [
+        everything, everything - {ra("i", "a29", "j")}, everything - {ra("i", "a28", "j")}
     ]
     individuals = frozenset(f"i{k}" for k in range(6))
-    formula = conj(Obligation(GLOBAL, Atom("a")),
-                   *(Obligation(directed(s, r), Atom("a")) for s in individuals for r in individuals))
+    formula = prepare(conj(Dynamic(GLOBAL, Atom("a"), Obligation(GLOBAL, Atom("c"))),
+                           *(Dynamic(directed(s, r), Atom("a"), Obligation(directed(s, r), Atom("b")))
+                             for s in individuals for r in individuals)))
     grid = rows("a", sorted(individuals), individuals)
-    assert list(islice(enumerate_action_sets(formula, individuals), 2)) == [
-        grid, grid - {ra("i5", "a", "i5")}
+    # The global test cannot be false while every sender has a true cell.
+    assert list(islice(steps(formula, individuals), 3)) == [
+        grid, grid - {ra("i5", "a", "i5")}, grid - {ra("i5", "a", "i4")}
     ]
 
 
 @pytest.mark.parametrize("text", [
-    "".join(f"{{i,j}}O(a{k}); " for k in range(30)),
-    "O(a); " + "".join(f"{{i{s},i{r}}}O(a); " for s in range(5) for r in range(4)),
+    "".join(f"{{i,j}}[a{k}]({{i,j}}O(b{k})); " for k in range(30)),
+    "[a](O(c)); " + "".join(f"{{i{s},i{r}}}[a]({{i{s},i{r}}}O(b{s}{r})); "
+                            for s in range(5) for r in range(4)),
 ], ids=["30 names", "one name"])
 def test_transition_budget_stops_a_state_with_many_valuations(text):
+    # Every test of the root decides its residual: 2**30 and 2**21 cubes.
     verdict = check(parse_or_raise(text), BuildOptions(max_transitions=1_000))
     assert verdict.kind is VerdictKind.INCONCLUSIVE
     assert verdict.reason.startswith("transition budget of 1000 exhausted after ")
@@ -395,8 +379,8 @@ def test_no_pruning_enumeration_order():
     sets = list(
         enumerate_action_sets(formula, individuals, options, actions=frozenset({"a", "b"}))
     )
-    assert [len(s) for s in sets] == [2, 1, 1, 0]
-    assert sets[-1] == frozenset()
+    assert [len(step) for step, _, _ in sets] == [2, 1, 1, 0]
+    assert sets[-1] == (frozenset(), BOTTOM, None)
 
 
 def test_global_operators_keep_all_senders():
@@ -481,7 +465,7 @@ def test_construct_rejects_a_step_outside_the_alphabet(monkeypatch):
     import rclcheck.automaton as automaton
 
     monkeypatch.setattr(automaton, "enumerate_action_sets",
-                        lambda *args: iter([frozenset({ra("i", "zz", "i")})]))
+                        lambda *args: iter([(frozenset({ra("i", "zz", "i")}), TOP, {})]))
     with pytest.raises(ValueError, match="step outside the alphabet"):
         construct(parse_or_raise("O(a);"))
 
@@ -501,10 +485,9 @@ def test_every_enumerated_set_appears_exactly_once():
     spec = parse_or_raise("{i,j}O(a) ^ {j}P(b);")
     options = BuildOptions(no_pruning=True, complete=True)
     automaton = construct(spec, options)
-    expected = list(
-        enumerate_action_sets(automaton.formulas[0], spec.effective_individuals,
-                              options, spec.actions)
-    )
+    expected = [step for step, _, _ in
+                enumerate_action_sets(automaton.formulas[0], spec.effective_individuals,
+                                      options, spec.actions)]
     for sid, formula in enumerate(automaton.formulas):
         if isinstance(formula, (Top, Bottom)):
             continue
@@ -540,6 +523,21 @@ def test_transition_budget_is_reported():
     assert exc.value.reason == (
         f"transition budget of 10 exhausted after {states} states and 10 transitions"
     )
+
+
+@pytest.mark.parametrize("bad", [
+    dict(max_states=0), dict(max_transitions=0), dict(max_transitions=-5),
+    dict(time_limit=float("nan")), dict(time_limit=float("inf")), dict(time_limit=0.0),
+    dict(time_limit=-1.0),
+], ids=repr)
+def test_build_options_reject_bad_values(bad):
+    with pytest.raises(ValueError):
+        BuildOptions(**bad)
+
+
+def test_build_options_take_no_time_limit():
+    assert BuildOptions(time_limit=None).time_limit is None
+    assert BuildOptions(max_states=1, max_transitions=1, time_limit=1e-9).max_transitions == 1
 
 
 def test_time_limit_is_reported():

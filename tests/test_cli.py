@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from rclcheck import generate, render
 from rclcheck.cli import main
 
-from conftest import CONTRACTS
+from conftest import CONTRACTS, REPO_ROOT
 from dot_grammar import validate_dot
 
 
@@ -48,6 +51,22 @@ def test_readme_sample_report_is_the_sales_contract_report(capsys):
     code, out, _ = run(capsys, str(CONTRACTS / "sales-contract.rcl"))
     assert code == 1
     assert out == sample
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    # Cube order and witness steps must not follow set iteration order.
+    path = str(REPO_ROOT / "src")
+    outputs = []
+    for seed in ("0", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [path, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "rclcheck.cli", str(CONTRACTS / "sales-contract.rcl"), "-c", "-v"],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_verbose_report_appends_formulas_and_labels(capsys):
