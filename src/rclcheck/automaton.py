@@ -16,7 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, combinations, product, starmap
 from typing import Callable, Iterator
 
@@ -25,7 +25,7 @@ from .decompose import (
     _WILDCARD,
     RelativizedAction,
     _apply,
-    _leaf_tests,
+    _same,
     _table,
     decompose,  # the per-step reference the tables reproduce; perfbench traces it here
     deontic_tags,
@@ -151,23 +151,27 @@ def relevant_universe(
 ) -> frozenset:
     """Relativized actions that decide the next step of a normal-form formula.
 
-    A residual depends only on which of the formula's leaf tests (see
-    ``decompose._leaf_tests``) a step makes true.  Each test adds the
-    actions that match its key (see ``_matching``), so any step T makes the
-    same atomic tests true as its part inside the result, and the subsets
-    of the result give every outcome but one: a nonempty T that meets none
-    of it.  Only a wildcard test tells that step from the empty one, so
-    when a wildcard is present one spare action stands for all such steps:
-    the least one of the ``individuals`` x ``actions`` universe that no
-    test reads (its key is the action, the action's ``(sender, name)`` or
-    its name), if there is one.  Actions only permissions mention are not
-    in the result.
+    A residual depends only on which of the formula's leaf tests (the keys
+    of its step table's index, see ``decompose._table``) a step makes
+    true.  Each test adds the actions that match its key (see
+    ``_matching``), so any step T makes the same atomic tests true as its
+    part inside the result, and the subsets of the result give every
+    outcome but one: a nonempty T that meets none of it.  Only a wildcard
+    test tells that step from the empty one, so when a wildcard is present
+    one spare action stands for all such steps: the least one of the
+    ``individuals`` x ``actions`` universe that no test reads (its key is
+    the action, the action's ``(sender, name)`` or its name), if there is
+    one.  Actions only permissions mention are not in the result.
     """
-    tests, wildcard = _leaf_tests(formula)
-    tested = frozenset(a for keys in tests.values() for key in keys
+    return _universe(_table(formula, _same)[2], individuals, actions)
+
+
+def _universe(index: dict, individuals: frozenset, actions: frozenset) -> frozenset:
+    """``relevant_universe`` of a step table's test index."""
+    tested = frozenset(a for key in index if type(key) is not bool
                        for a in _matching(key, individuals))
-    spare = _spare(lambda a: any(key in tests.get(a[1], ()) for key in (a, a[:2], a[1])),
-                   individuals, actions) if wildcard else frozenset()
+    spare = _spare(lambda a: a in index or a[:2] in index or a[1] in index,
+                   individuals, actions) if _WILDCARD in index else frozenset()
     return tested | spare
 
 
@@ -176,7 +180,8 @@ def _cubes(
 ) -> Iterator[tuple[frozenset, Formula, dict]]:
     """``(witness, residual, {test key: outcome})`` for each satisfiable cube.
 
-    A lazy Shannon expansion of a step table: fix one open leaf test at a
+    A lazy Shannon expansion of a step table (see ``decompose._table``):
+    decide the leaves no step changes, then fix one open leaf test at a
     time, true side first, in one fixed order (by name; within a name
     directed keys, then performers, then the global test; the wildcard
     last), and fold each decided leaf up the spine until the root, the
@@ -188,24 +193,10 @@ def _cubes(
     alone the least action that keeps every fixed test.
     """
     order = sorted(individuals)
-    nodes: list[tuple] = []  # leaves as in the table, spine nodes as (kind, child ids)
-    parent: list[int] = []
-    left: list[int] = []  # each spine node's undecided children
-    value: list = []  # each decided node's value, else None
-    readers: dict = {}  # test key -> the leaves that read it
+    nodes, parent, readers = table
+    left = [len(node[1]) if len(node) == 2 else 0 for node in nodes]  # undecided children
+    value: list = [None] * len(nodes)  # each decided node's value, else None
     trail: list = []  # n: value[n] was set; ~n: left[n] fell; a test key: it was fixed
-
-    def flatten(node: tuple, up: int) -> int:
-        n = len(nodes)
-        nodes.append(node)
-        parent.append(up)
-        value.append(None)
-        left.append(len(node[1]) if len(node) == 2 else 0)
-        if len(node) == 2:
-            nodes[n] = node[0], [flatten(child, n) for child in node[1]]
-        else:  # a leaf whose outcome no step changes reads the never-true test
-            readers.setdefault(_NEVER if node[1] is node[2] else node[0], []).append(n)
-        return n
 
     def decide(n: int, v: Formula) -> None:
         value[n] = v
@@ -228,15 +219,14 @@ def _cubes(
             n = parent[n]
         return n < 0
 
-    flatten(table, -1)
-    for n in readers.pop(_NEVER, ()):
+    for n in readers.get(_NEVER, ()):
         decide(n, nodes[n][2])
-    keys = sorted((key for key in readers if key is not _WILDCARD),
+    keys = sorted((key for key, ns in readers.items() if ns and type(key) is not bool),
                   key=lambda k: (k, 2) if type(k) is str else (k[1], type(k) is tuple, k))
     fixed: dict = {}  # the cube: test key -> outcome
     cells: dict = {}  # (sender, name) -> how many of its row's cells are fixed [false, true]
     parts: dict = {}  # true test key -> the actions it adds to the witness
-    if _WILDCARD in readers:
+    if readers.get(_WILDCARD):
         keys.append(_WILDCARD)
         names = actions.union(key if type(key) is str else key[1] for key in keys[:-1])
         spare = partial(_spare, lambda a: fixed.get(a) is False or fixed.get(a[:2]) is False
@@ -304,11 +294,6 @@ def _cubes(
         todo += (i, len(trail), False), (i, len(trail), True)
 
 
-@lru_cache(maxsize=4)
-def _sorted_universe(individuals: frozenset, actions: frozenset) -> tuple:
-    return tuple(sorted(relativized_universe(individuals, actions)))
-
-
 def enumerate_action_sets(
     formula: Formula,
     individuals: frozenset[Individual],
@@ -329,7 +314,7 @@ def enumerate_action_sets(
     table = _table(formula, outcome)
     if not options.no_pruning:
         return _cubes(table, individuals, actions)
-    universe = _sorted_universe(individuals, actions)
+    universe = sorted(relativized_universe(individuals, actions))
     return ((step, _apply(table, step, individuals, join), None)
             for size in range(len(universe), -1, -1)
             for step in map(frozenset, combinations(universe, size)))

@@ -223,14 +223,12 @@ def _run_bench(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    command = argv[0] if argv and argv[0] in ("check", "generate", "bench") else "check"
-    if argv and argv[0] == command and argv[0] in ("check", "generate", "bench"):
-        argv = argv[1:]
     parsers = {
         "check": (_check_parser, _run_check),
         "generate": (_generate_parser, _run_generate),
         "bench": (_bench_parser, _run_bench),
     }
+    command = argv.pop(0) if argv and argv[0] in parsers else "check"
     make_parser, run = parsers[command]
     try:
         args = make_parser().parse_args(argv)

@@ -4,7 +4,9 @@ One automaton step performs a (possibly empty) set of relativized actions.
 ``rewrite_compound`` reduces compound actions under deontic and dynamic
 operators to their primitive forms, ``decompose`` computes the residual
 contract after one step, and ``deontic_tags`` reads off the deontic
-labelling of a state.
+labelling of a state.  ``_table`` compiles a state into the one flat step
+table that ``decompose``, the automaton's cubes and its step universe all
+read.
 """
 from __future__ import annotations
 
@@ -287,63 +289,54 @@ def _test(rel: Relativization, action: ActionExpr):
     return RelativizedAction(rel.sender, action.name, rel.receiver)
 
 
-def _leaf_tests(formula: Formula) -> tuple[dict, bool]:
-    """The leaf tests of a normal-form formula, and whether it tests ``1``.
+def _table(formula: Formula, outcome: Callable[[Formula], Formula]) -> tuple[list, list, dict]:
+    """Compile a normal-form formula into its step table, in one walk.
 
-    Walks the ``And``/``XChoice`` spine of a state in step normal form (see
-    ``prepare``).  Each unguarded obligation or prohibition and each
-    dynamic trigger (a negated one through its inner action) asks ``_test``
-    of a step, and the keys on basic actions come back as ``{name: {key}}``,
-    names in the order of the walk.  Bodies and reparations are not tested
-    before the step and give nothing; nor do permissions, which label the
-    state but never change its residual.  A ``1`` trigger, plain or negated
-    (``O(1)`` becomes ``[!1]``), sets the wildcard flag; ``0`` is matched by
-    no step and gives nothing.
+    The table is ``(nodes, parent, index)``.  ``nodes`` holds the formula
+    in preorder, root first: its ``And``/``XChoice`` spine as ``(kind,
+    child ids)``, and each leaf as ``(test, if true, if false)``, the two
+    outcomes being what the leaf becomes when a step makes its test true
+    or false (see ``_test``).  ``parent`` holds each node's parent id, -1
+    at the root.  ``index`` maps each test key to the leaves that read it,
+    except that a leaf no step changes (a ``0`` test, or two outcomes that
+    are one object) is read by ``_NEVER`` alone; its key is still listed.
+    Bodies and reparations go through ``outcome`` once, here, so a caller
+    can hand in their step normal form; constants and permissions never
+    change and test nothing.
     """
-    tests: dict[ActionName, set] = {}
-    wildcard = False
-    stack = [formula]
-    while stack:
-        f = stack.pop()
+    nodes: list[tuple] = []
+    parent: list[int] = []
+    index: dict = {}
+
+    def walk(f: Formula, up: int) -> int:
+        n = len(nodes)
+        parent.append(up)
         if isinstance(f, (And, XChoice)):
-            stack.extend(f.children)
-        elif not isinstance(f, (Top, Bottom, Permission)):
-            test = f.trigger if isinstance(f, Dynamic) else f.action
-            key = _test(f.rel, test.inner if isinstance(test, Negation) else test)
-            if key is _WILDCARD:
-                wildcard = True
-            elif key is not _NEVER:
-                tests.setdefault(key if type(key) is str else key[1], set()).add(key)
-    return tests, wildcard
+            nodes.append(())
+            nodes[n] = type(f), [walk(c, n) for c in f.children]
+            return n
+        if isinstance(f, (Obligation, Prohibition)):
+            rep = BOTTOM if f.reparation is None else outcome(f.reparation)
+            test = _test(f.rel, f.action)
+            leaf = (test, TOP, rep) if isinstance(f, Obligation) else (test, rep, TOP)
+        elif isinstance(f, Dynamic):
+            trig, body = f.trigger, outcome(f.body)
+            leaf = ((_test(f.rel, trig.inner), TOP, body) if isinstance(trig, Negation)
+                    else (_test(f.rel, trig), body, TOP))
+        elif isinstance(f, Permission):
+            # Permissions impose nothing on the trace; they only label states.
+            leaf = _NEVER, TOP, TOP
+        elif isinstance(f, (Top, Bottom)):
+            leaf = _NEVER, f, f
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        nodes.append(leaf)
+        readers = index.setdefault(leaf[0], [])
+        (index.setdefault(_NEVER, []) if leaf[1] is leaf[2] else readers).append(n)
+        return n
 
-
-def _table(formula: Formula, outcome: Callable[[Formula], Formula]) -> tuple:
-    """Compile a normal-form formula into its step table.
-
-    The table keeps the formula's ``And``/``XChoice`` spine as
-    ``(kind, children)`` and turns each leaf into ``(test, if true, if
-    false)``, where the two outcomes are what the leaf becomes when a step
-    makes its test true or false (see ``_test``).  Bodies and reparations
-    go through ``outcome`` once, here, so a caller can hand in their step
-    normal form; constants and permissions never change and test nothing.
-    """
-    if isinstance(formula, (And, XChoice)):
-        return type(formula), tuple(_table(c, outcome) for c in formula.children)
-    if isinstance(formula, (Top, Bottom)):
-        return _NEVER, formula, formula
-    if isinstance(formula, Permission):
-        # Permissions impose nothing on the trace; they only label states.
-        return _NEVER, TOP, TOP
-    if isinstance(formula, (Obligation, Prohibition)):
-        rep = BOTTOM if formula.reparation is None else outcome(formula.reparation)
-        test = _test(formula.rel, formula.action)
-        return (test, TOP, rep) if isinstance(formula, Obligation) else (test, rep, TOP)
-    if isinstance(formula, Dynamic):
-        trig, body = formula.trigger, outcome(formula.body)
-        if isinstance(trig, Negation):
-            return _test(formula.rel, trig.inner), TOP, body
-        return _test(formula.rel, trig), body, TOP
-    raise TypeError(f"not a formula: {formula!r}")
+    walk(formula, -1)
+    return nodes, parent, index
 
 
 def _apply(
@@ -356,10 +349,12 @@ def _apply(
     joined up its spine by ``combine`` (``fold``, or ``join`` for a
     canonical residual).  Children are drawn lazily, so a ``combine`` that
     stops at an absorbing child skips the rest."""
+    nodes = table[0]
     pairs: set | None = None  # built when a performer or global test is first read
 
-    def go(node: tuple) -> Formula:
+    def go(n: int) -> Formula:
         nonlocal pairs
+        node = nodes[n]
         if len(node) == 2:
             return combine(node[0], map(go, node[1]))
         test, if_true, if_false = node
@@ -377,7 +372,7 @@ def _apply(
                 holds = all((i, test) in pairs for i in individuals)
         return if_true if holds else if_false
 
-    return go(table)
+    return go(0)
 
 
 # ---------------------------------------------------------------------------

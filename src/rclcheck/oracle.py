@@ -5,14 +5,14 @@ of action and deontic traces.  ``oracle_verdict`` searches for conflicting
 states by re-decomposing the contract from the root along every bounded
 trace, with none of the automaton machinery (no state sharing, no
 witness steps, no early construction stop) but its step universe,
-``relevant_universe``.
+``relevant_universe`` of each residual's step table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .automaton import relevant_universe
+from .automaton import _universe
 from .conflicts import Clash, search_conflicts
 from .decompose import (
     DeonticOp,
@@ -175,7 +175,8 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
     actions (plus the empty step) is tried depth-first from the root; each
     residual's deontic groups are searched for a clash.  Only practical on
     small alphabets; bounds are enforced.  Each residual is compiled once
-    into its step table, which every subset is then applied to.
+    into its step table, which gives its universe (the table's
+    ``relevant_universe``) and which every subset is then applied to.
 
     Every subset of ``relevant_universe`` is a step here, so the engine's
     enumerator, one witness step per cube of a state's leaf tests, is not
@@ -202,7 +203,7 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
             return None
         done[formula] = remaining
         table = _table(formula, _same)
-        universe = sorted(relevant_universe(formula, individuals, spec.actions))
+        universe = sorted(_universe(table[2], individuals, spec.actions))
         candidates = [frozenset()]
         for size in range(1, len(universe) + 1):
             candidates.extend(frozenset(c) for c in combinations(universe, size))

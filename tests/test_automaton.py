@@ -294,6 +294,12 @@ LEAVES = [
     lambda rel, a: Permission(rel, a),
     lambda rel, a: Dynamic(rel, a, Obligation(GLOBAL, Atom("c"))),
     lambda rel, a: Dynamic(rel, Negation(a), Obligation(GLOBAL, Atom("c"))),
+    # Leaves that no step changes: a never-matched trigger, and two
+    # outcomes that are one object.
+    lambda rel, a: Dynamic(rel, ZERO, Obligation(GLOBAL, Atom("c"))),
+    lambda rel, a: Dynamic(rel, Negation(ZERO), Obligation(GLOBAL, Atom("c"))),
+    lambda rel, a: Obligation(rel, a, TOP),
+    lambda rel, a: Dynamic(rel, a, TOP),
 ]
 
 
