@@ -14,7 +14,6 @@ from .automaton import (
     SpecialLabel,
     TraceStep,
     Transition,
-    action_set_count,
     construct,
     enumerate_action_sets,
     export_dot,
@@ -77,8 +76,6 @@ from .formula import (
     directed,
     extract_alphabet,
     performer,
-    rename_spec,
-    rename_symbols,
     xchoice,
 )
 from .generator import generate

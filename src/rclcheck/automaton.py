@@ -121,11 +121,6 @@ def relativized_universe(
     return frozenset(starmap(RelativizedAction, product(individuals, actions, individuals)))
 
 
-def action_set_count(universe_size: int) -> int:
-    """Number of nonempty concurrent action sets, computed symbolically."""
-    return 2**universe_size - 1
-
-
 def _matching(key, individuals: frozenset[Individual]) -> list[RelativizedAction]:
     """The actions that make a leaf test (see ``decompose._test``) true on
     their own, or, for a global test, together."""

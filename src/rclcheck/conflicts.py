@@ -38,6 +38,9 @@ class ConflictKind(Enum):
     PERMISSION_VS_OBLIGATION_PREDEF = "permission and obligation over pre-defined conflicting actions"
 
 
+_O, _P, _F = DeonticOp.OBLIGATION, DeonticOp.PERMISSION, DeonticOp.PROHIBITION
+
+
 def _performers_overlap(r1: Relativization, r2: Relativization) -> bool:
     # A global operator overlaps everyone.  Directed operators pin the
     # exact sender-receiver pair, so two directed forms overlap only when
@@ -59,26 +62,22 @@ def tags_conflict(
     d1: DeonticTag, d2: DeonticTag, rels: ConflictRelations
 ) -> ConflictKind | None:
     """The conflict scenario two tags fall under, if any.  Symmetric."""
-    ops = {d1.op, d2.op}
-    if d1.action == d2.action:
-        if ops == {DeonticOp.OBLIGATION, DeonticOp.PROHIBITION}:
-            if _performers_overlap(d1.rel, d2.rel):
-                return ConflictKind.OBLIGATION_VS_PROHIBITION
-        if ops == {DeonticOp.PROHIBITION, DeonticOp.PERMISSION}:
-            if _performers_overlap(d1.rel, d2.rel):
-                return ConflictKind.PROHIBITION_VS_PERMISSION
-    if ops == {DeonticOp.OBLIGATION}:
-        if rels.globally_conflicting(d1.action, d2.action):
-            return ConflictKind.OBLIGATION_VS_OBLIGATION_PREDEF
-        if rels.relativized_conflicting(d1.action, d2.action):
-            if _senders_overlap(d1.rel, d2.rel):
-                return ConflictKind.OBLIGATION_VS_OBLIGATION_PREDEF
-    if ops == {DeonticOp.PERMISSION, DeonticOp.OBLIGATION}:
-        if rels.globally_conflicting(d1.action, d2.action):
-            return ConflictKind.PERMISSION_VS_OBLIGATION_PREDEF
-        if rels.relativized_conflicting(d1.action, d2.action):
-            if _senders_overlap(d1.rel, d2.rel):
-                return ConflictKind.PERMISSION_VS_OBLIGATION_PREDEF
+    op1, op2 = d1.op, d2.op
+    if op1 is _F or op2 is _F:
+        # Only a prohibition against the other two, over one action.
+        if op1 is op2 or d1.action != d2.action or not _performers_overlap(d1.rel, d2.rel):
+            return None
+        if op1 is _O or op2 is _O:
+            return ConflictKind.OBLIGATION_VS_PROHIBITION
+        return ConflictKind.PROHIBITION_VS_PERMISSION
+    if op1 is _P and op2 is _P:
+        return None
+    kind = (ConflictKind.OBLIGATION_VS_OBLIGATION_PREDEF if op1 is op2
+            else ConflictKind.PERMISSION_VS_OBLIGATION_PREDEF)
+    if rels.globally_conflicting(d1.action, d2.action):
+        return kind
+    if rels.relativized_conflicting(d1.action, d2.action) and _senders_overlap(d1.rel, d2.rel):
+        return kind
     return None
 
 
@@ -114,6 +113,8 @@ def _pair_clash(kind1: GroupKind, tags1: list, kind2: GroupKind, tags2: list,
 
 def iter_group_conflicts(groups: frozenset, rels: ConflictRelations):
     """All clashes between distinct groups, in deterministic order."""
+    if len(groups) < 2:
+        return
     ordered = [(g.kind, sorted(g.tags, key=DeonticTag.sort_key))
                for g in sorted(groups, key=DeonticGroup.sort_key)]
     for i, (kind1, tags1) in enumerate(ordered):

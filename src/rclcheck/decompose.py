@@ -379,10 +379,12 @@ def _apply(
 # Deontic labelling
 
 
+_OPS = {Obligation: DeonticOp.OBLIGATION, Permission: DeonticOp.PERMISSION,
+        Prohibition: DeonticOp.PROHIBITION}
+
+
 def _tag(f: Formula) -> DeonticTag | None:
-    ops = {Obligation: DeonticOp.OBLIGATION, Permission: DeonticOp.PERMISSION,
-           Prohibition: DeonticOp.PROHIBITION}
-    op = ops.get(type(f))
+    op = _OPS.get(type(f))
     if op is None or not isinstance(f.action, Atom):
         return None
     return DeonticTag(f.rel, op, f.action.name)

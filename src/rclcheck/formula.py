@@ -10,7 +10,7 @@ deduplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 Individual = str
 ActionName = str
@@ -382,24 +382,33 @@ def canonicalize(formula: Formula) -> Formula:
             return formula
         return Dynamic(formula.rel, formula.trigger, body)
     if isinstance(formula, (And, XChoice)):
-        return join(type(formula), (canonicalize(c) for c in formula.children))
+        return join(type(formula), map(canonicalize, formula.children))
     raise TypeError(f"not a formula: {formula!r}")
 
 
 def join(kind: type[And] | type[XChoice], children: Iterable[Formula]) -> Formula:
     """Canonical conjunction or choice of canonical ``children``.
 
-    Folds constants (see ``fold``), flattens children of the same kind one
-    level, drops duplicates and sorts, so the result is canonical whenever
-    the children are.  ``children`` may be a lazy generator.
+    In one pass: folds constants as ``fold`` does, stopping at the first
+    absorbing child, flattens children of the same kind one level (being
+    canonical, they hold no constants), drops duplicates, and sorts, so
+    the result is canonical.  ``children`` may be a lazy generator.
     """
-    joined = fold(kind, children)
-    if not isinstance(joined, kind):
-        return joined
-    parts = {
-        g for c in joined.children for g in (c.children if isinstance(c, kind) else (c,))
-    }
-    return fold(kind, sorted(parts, key=Formula.sort_key))
+    neutral, absorbing = (TOP, BOTTOM) if kind is And else (BOTTOM, TOP)
+    parts: set[Formula] = set()
+    for c in children:
+        t = type(c)
+        if t is kind:
+            parts.update(c.children)
+        elif t is type(absorbing):
+            return absorbing
+        elif t is not type(neutral):
+            parts.add(c)
+    if not parts:
+        return neutral
+    if len(parts) == 1:
+        return parts.pop()
+    return kind(tuple(sorted(parts, key=Formula.sort_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,78 +523,3 @@ class ContractSpec:
         if self.individuals:
             return self.individuals
         return frozenset({"i"})
-
-
-# ---------------------------------------------------------------------------
-# Symbol renaming (used by invariance checks)
-
-
-def rename_action_expr(
-    expr: ActionExpr, act_map: Mapping[ActionName, ActionName]
-) -> ActionExpr:
-    if isinstance(expr, Atom):
-        return Atom(act_map.get(expr.name, expr.name))
-    if isinstance(expr, (ZeroAction, OneAction)):
-        return expr
-    if isinstance(expr, (Concurrent, Sequence, Choice)):
-        return type(expr)(
-            rename_action_expr(expr.left, act_map),
-            rename_action_expr(expr.right, act_map),
-        )
-    if isinstance(expr, (Negation, Star)):
-        return type(expr)(rename_action_expr(expr.inner, act_map))
-    raise TypeError(f"not an action expression: {expr!r}")
-
-
-def rename_symbols(
-    formula: Formula,
-    ind_map: Mapping[Individual, Individual],
-    act_map: Mapping[ActionName, ActionName],
-) -> Formula:
-    """Apply injective renamings of individuals and actions to a formula."""
-
-    def rel(r: Relativization) -> Relativization:
-        if r.is_global:
-            return r
-        sender = ind_map.get(r.sender, r.sender)
-        receiver = None if r.receiver is None else ind_map.get(r.receiver, r.receiver)
-        return Relativization(sender, receiver)
-
-    if isinstance(formula, (Top, Bottom)):
-        return formula
-    if isinstance(formula, (And, XChoice)):
-        return type(formula)(
-            tuple(rename_symbols(c, ind_map, act_map) for c in formula.children)
-        )
-    if isinstance(formula, Dynamic):
-        return Dynamic(
-            rel(formula.rel),
-            rename_action_expr(formula.trigger, act_map),
-            rename_symbols(formula.body, ind_map, act_map),
-        )
-    if isinstance(formula, Permission):
-        return Permission(rel(formula.rel), rename_action_expr(formula.action, act_map))
-    rep = None
-    if formula.reparation is not None:
-        rep = rename_symbols(formula.reparation, ind_map, act_map)
-    return type(formula)(rel(formula.rel), rename_action_expr(formula.action, act_map), rep)
-
-
-def rename_spec(
-    spec: ContractSpec,
-    ind_map: Mapping[Individual, Individual],
-    act_map: Mapping[ActionName, ActionName],
-) -> ContractSpec:
-    def pair_map(pairs: frozenset[frozenset[ActionName]]) -> Iterator[tuple[ActionName, ActionName]]:
-        for pair in pairs:
-            items = sorted(pair)
-            a = act_map.get(items[0], items[0])
-            b = act_map.get(items[-1], items[-1])
-            yield (a, b)
-
-    conflicts = ConflictRelations.make(
-        pair_map(spec.conflicts.global_pairs),
-        pair_map(spec.conflicts.relativized_pairs),
-    )
-    clauses = tuple(rename_symbols(c, ind_map, act_map) for c in spec.clauses)
-    return ContractSpec.from_clauses(clauses, conflicts)

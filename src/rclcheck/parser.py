@@ -19,10 +19,11 @@ insignificant outside identifiers.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, NamedTuple
+from functools import cached_property
+from itertools import accumulate, compress, repeat
+from operator import itemgetter
+from typing import Iterator
 
 from .formula import (
     GLOBAL,
@@ -33,6 +34,7 @@ from .formula import (
     Atom,
     Choice,
     Concurrent,
+    NO_CONFLICTS,
     ConflictRelations,
     ContractSpec,
     Dynamic,
@@ -104,42 +106,27 @@ class RclSyntaxError(Exception):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-
-class _Token(NamedTuple):
-    kind: str
-    value: str
-    offset: int
-
-
-# One pass of ``finditer`` over alternatives tried in order at each offset:
-# whitespace and ``//`` comments, the marks (longest first), words, and any
-# other single character, which is an error.
+_MARKS = ("(+)", "_/", "/_", *"{}()[],;^&.+!*01")  # longest first
+# One ``findall`` pass over alternatives tried in order at each offset:
+# whitespace and ``//`` comments, a token (a mark, then a word), or any
+# other single character, which is an error.  Every match fills one of
+# the three groups.
 _SCANNER = re.compile(
-    r"(?P<skip>[ \t\r\n]+|//[^\n]*)"
-    r"|(?P<punct>\(\+\)|_/|/_|[{}()\[\],;^&.+!*01])"
-    r"|(?P<word>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<bad>.)",
+    r"([ \t\r\n]+|//[^\n]*)"
+    rf"|({'|'.join(map(re.escape, _MARKS))}|[A-Za-z][A-Za-z0-9_]*)"
+    r"|(.)",
     re.DOTALL,
 )
+# A token's kind is its text, except that a non-keyword word is "ident".
+_KINDS = {t: t for t in (*_MARKS, *KEYWORDS)}
+
+# Levels of the binary action operators, loosest first, and their nodes.
+_ACTION_OPS = {"+": 0, ".": 1, "&": 2}
+_ACTION_NODES = (Choice, Sequence, Concurrent)
 
 
-def _tokenize(text: str, report: Callable[[str, int], None]) -> list[_Token]:
-    tokens: list[_Token] = []
-    for match in _SCANNER.finditer(text):
-        group, value = match.lastgroup, match.group()
-        if group == "punct":
-            tokens.append(_Token(value, value, match.start()))
-        elif group == "word":
-            kind = value if value in KEYWORDS else "ident"
-            tokens.append(_Token(kind, value, match.start()))
-        elif group == "bad":
-            report(f"unknown token {value!r}", match.start())
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
-
-
-def _found(tok: _Token) -> str:
-    return repr(tok.value) if tok.kind != "eof" else "end of input"
+def _found(kind: str, value: str) -> str:
+    return repr(value) if kind != "eof" else "end of input"
 
 
 # ---------------------------------------------------------------------------
@@ -151,94 +138,94 @@ class _ParseAbort(Exception):
 
 
 class _Parser:
+    """Recursive descent over parallel token ``kinds`` and ``values``; a
+    token is its index into both, and the last one is ``eof``."""
+
     def __init__(self, text: str, diagnostics: list[ParseDiagnostic]):
         self.text = text
         self.diagnostics = diagnostics
-        self.tokens = _tokenize(text, partial(self.diagnose, "error"))
+        self.matches = _SCANNER.findall(text)
+        self.values = [tok for _, tok, _ in self.matches if tok]
+        self.kinds = list(map(_KINDS.get, self.values, repeat("ident")))
+        self.kinds.append("eof")
+        self.values.append("")
         self.pos = 0
         self.depth = 0
+        if any(map(itemgetter(2), self.matches)):
+            for start, (_, _, bad) in zip(self.starts(), self.matches):
+                if bad:
+                    self.diagnose("error", f"unknown token {bad!r}", start)
 
     # -- diagnostics -------------------------------------------------------
 
+    def starts(self) -> Iterator[int]:
+        """Each match's offset in the text, from the lengths before it."""
+        return accumulate(map(len, map("".join, self.matches)), initial=0)
+
     @cached_property
-    def newlines(self) -> list[int]:
-        return [i for i, ch in enumerate(self.text) if ch == "\n"]
+    def offsets(self) -> list[int]:
+        """Each token's offset; only diagnostics need them."""
+        return [*compress(self.starts(), map(itemgetter(1), self.matches)), len(self.text)]
 
     def diagnose(self, severity: str, message: str, offset: int) -> None:
         """Record a diagnostic at ``offset``; its line and column (from 1,
-        counting characters) are worked out here, from the newlines."""
-        line = bisect_left(self.newlines, offset)
-        column = offset - (self.newlines[line - 1] if line else -1)
-        self.diagnostics.append(ParseDiagnostic(severity, line + 1, column, message))
+        counting characters) are worked out here."""
+        line = self.text.count("\n", 0, offset) + 1
+        column = offset - self.text.rfind("\n", 0, offset)
+        self.diagnostics.append(ParseDiagnostic(severity, line, column, message))
 
-    def error(self, message: str, tok: _Token | None = None) -> None:
-        self.diagnose("error", message, (tok or self.peek()).offset)
+    def error(self, message: str, tok: int | None = None) -> None:
+        self.diagnose("error", message, self.offsets[self.pos if tok is None else tok])
         raise _ParseAbort
 
-    def warn(self, message: str, tok: _Token) -> None:
-        self.diagnose("warning", message, tok.offset)
+    def warn(self, message: str, tok: int) -> None:
+        self.diagnose("warning", message, self.offsets[tok])
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+    def accept(self, kind: str) -> int | None:
+        if self.kinds[self.pos] == kind:
             self.pos += 1
-        return tok
-
-    def accept(self, kind: str) -> _Token | None:
-        if self.peek().kind == kind:
-            return self.advance()
+            return self.pos - 1
         return None
 
-    def expect(self, kind: str, what: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.error(f"expected {what or repr(kind)}, found {_found(tok)}", tok)
-        return self.advance()
+    def expect(self, kind: str, what: str | None = None) -> int:
+        tok = self.pos
+        if self.kinds[tok] != kind:
+            found = _found(self.kinds[tok], self.values[tok])
+            self.error(f"expected {what or repr(kind)}, found {found}", tok)
+        self.pos += 1
+        return tok
 
-    def descend(self, tok: _Token) -> None:
+    def descend(self, tok: int) -> None:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             self.error(f"nesting deeper than {MAX_DEPTH} levels", tok)
 
-    def nested(self, tok: _Token, parse, *args):
+    def nested(self, tok: int, parse, *args):
         """Run ``parse(*args)`` one nesting level deeper."""
         self.descend(tok)
         result = parse(*args)
         self.depth -= 1
         return result
 
-    def chain(self, op: str, build, operand, trigger: bool) -> ActionExpr:
-        """A left-nested chain of ``operand`` joined by ``op``."""
-        depth = self.depth
-        left = operand(trigger)
-        while (tok := self.accept(op)) is not None:
-            self.descend(tok)
-            left = build(left, operand(trigger))
-        self.depth = depth
-        return left
-
     def resync(self) -> None:
         # Skip to just past the next clause terminator.
-        while self.peek().kind not in (";", "eof"):
-            self.advance()
+        while self.kinds[self.pos] not in (";", "eof"):
+            self.pos += 1
         self.accept(";")
 
     # -- file structure ----------------------------------------------------
 
     def parse_file(self) -> ContractSpec | None:
-        conflicts = ConflictRelations()
-        if self.peek().kind == "conflict":
+        conflicts = NO_CONFLICTS
+        if self.kinds[self.pos] == "conflict":
             try:
                 conflicts = self.parse_conflict_header()
             except _ParseAbort:
                 self.resync()
         clauses: list[Formula] = []
-        while self.peek().kind != "eof":
+        while self.kinds[self.pos] != "eof":
             try:
                 clauses.append(self.parse_clause())
             except _ParseAbort:
@@ -255,16 +242,17 @@ class _Parser:
         global_pairs: list[tuple[str, str]] = []
         relativized_pairs: list[tuple[str, str]] = []
         seen: set[str] = set()
-        while self.peek().kind in ("global", "relativized"):
-            section = self.advance()
-            if section.kind in seen:
-                self.error(f"duplicate {section.kind!r} section", section)
-            seen.add(section.kind)
-            target = global_pairs if section.kind == "global" else relativized_pairs
+        while (kind := self.kinds[self.pos]) in ("global", "relativized"):
+            section = self.pos
+            self.pos += 1
+            if kind in seen:
+                self.error(f"duplicate {kind!r} section", section)
+            seen.add(kind)
+            target = global_pairs if kind == "global" else relativized_pairs
             self.expect("{")
-            if self.peek().kind != "}":
+            if self.kinds[self.pos] != "}":
                 target.append(self.parse_pair())
-                while self.accept(","):
+                while self.accept(",") is not None:
                     target.append(self.parse_pair())
             self.expect("}")
             self.expect(";")
@@ -274,9 +262,9 @@ class _Parser:
 
     def parse_pair(self) -> tuple[str, str]:
         self.expect("(")
-        a = self.expect("ident", "an action name").value
+        a = self.values[self.expect("ident", "an action name")]
         self.expect(",")
-        b = self.expect("ident", "an action name").value
+        b = self.values[self.expect("ident", "an action name")]
         self.expect(")")
         return (a, b)
 
@@ -290,23 +278,19 @@ class _Parser:
 
     def parse_formula(self) -> Formula:
         first = self.parse_conjunction()
-        if self.peek().kind != "(+)":
+        if self.kinds[self.pos] != "(+)":
             return first
         branches = [first]
-        while True:
-            tok = self.accept("(+)")
-            if tok is None:
-                break
+        while (tok := self.accept("(+)")) is not None:
             branches.append(self.parse_conjunction())
             self.check_choice_operand(branches[-2], tok)
             self.check_choice_operand(branches[-1], tok)
         families = {self.choice_family(b) for b in branches}
         if len(families) > 1:
-            self.error("clause choice cannot mix obligations and permissions",
-                       self.tokens[self.pos - 1])
+            self.error("clause choice cannot mix obligations and permissions", self.pos - 1)
         return xchoice(*branches)
 
-    def check_choice_operand(self, branch: Formula, tok: _Token) -> None:
+    def check_choice_operand(self, branch: Formula, tok: int) -> None:
         if self.choice_family(branch) is None:
             self.error("clause choice applies only to obligation or permission clauses", tok)
 
@@ -329,40 +313,46 @@ class _Parser:
         return None
 
     def parse_conjunction(self) -> Formula:
-        parts = [self.parse_primary()]
-        while self.accept("^"):
+        first = self.parse_primary()
+        if self.kinds[self.pos] != "^":
+            return first
+        parts = [first]
+        while self.kinds[self.pos] == "^":
+            self.pos += 1
             parts.append(self.parse_primary())
         return conj(*parts)
 
     def parse_primary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "true":
-            self.advance()
+        tok = self.pos
+        kind = self.kinds[tok]
+        if kind == "true":
+            self.pos += 1
             return TOP
-        if tok.kind == "false":
-            self.advance()
+        if kind == "false":
+            self.pos += 1
             return BOTTOM
-        if tok.kind == "(":
-            self.advance()
+        if kind == "(":
+            self.pos += 1
             inner = self.nested(tok, self.parse_formula)
             self.expect(")")
             return inner
         rel = GLOBAL
-        if tok.kind == "{":
+        if kind == "{":
             rel = self.parse_relativization()
-            tok = self.peek()
-        if tok.kind in ("O", "P", "F"):
+            tok = self.pos
+            kind = self.kinds[tok]
+        if kind in ("O", "P", "F"):
             return self.parse_deontic(rel)
-        if tok.kind == "[":
+        if kind == "[":
             return self.parse_dynamic(rel)
-        self.error(f"expected a clause, found {_found(tok)}", tok)
+        self.error(f"expected a clause, found {_found(kind, self.values[tok])}", tok)
         raise AssertionError("unreachable")
 
     def parse_relativization(self) -> Relativization:
         open_tok = self.expect("{")
-        names = [self.expect("ident", "an individual").value]
-        while self.accept(","):
-            names.append(self.expect("ident", "an individual").value)
+        names = [self.values[self.expect("ident", "an individual")]]
+        while self.accept(",") is not None:
+            names.append(self.values[self.expect("ident", "an individual")])
         self.expect("}")
         if len(names) > 2:
             self.error("a relativization names at most two individuals", open_tok)
@@ -371,7 +361,8 @@ class _Parser:
         return Relativization(*names)
 
     def parse_deontic(self, rel: Relativization) -> Formula:
-        op = self.advance()
+        op = self.kinds[self.pos]
+        self.pos += 1
         self.expect("(")
         action = self.parse_action(trigger=False)
         self.expect(")")
@@ -380,9 +371,9 @@ class _Parser:
         if rep_tok is not None:
             reparation = self.nested(rep_tok, self.parse_formula)
             self.expect("/_", "'/_' closing the reparation")
-        if op.kind == "O":
+        if op == "O":
             return Obligation(rel, action, reparation)
-        if op.kind == "F":
+        if op == "F":
             return Prohibition(rel, action, reparation)
         if reparation is not None:
             self.error("permissions cannot carry a reparation", rep_tok)
@@ -393,7 +384,7 @@ class _Parser:
         trigger = self.parse_action(trigger=True)
         close = self.expect("]")
         # ``[a](C)``: the parentheses belong to the modality, one level.
-        if self.accept("("):
+        if self.accept("(") is not None:
             body = self.nested(close, self.parse_formula)
             self.expect(")")
         else:
@@ -403,53 +394,75 @@ class _Parser:
     # -- action expressions --------------------------------------------------
 
     def parse_action(self, trigger: bool) -> ActionExpr:
-        return self.chain("+", Choice, self.parse_action_seq, trigger)
+        """Operands joined by ``+``, ``.`` and ``&`` (loosest first), all
+        left-associative, by precedence climbing in one loop.  A link opens
+        one nesting level more than the links before it at its own and at
+        looser levels, and the tighter levels count afresh after it.
+        """
+        right = self.parse_action_operand(trigger)
+        if self.kinds[self.pos] not in _ACTION_OPS:
+            return right
+        base = self.depth
+        links = [0, 0, 0]
+        pending: list[tuple[int, ActionExpr]] = []  # (level, left operand)
+        while (level := _ACTION_OPS.get(self.kinds[self.pos])) is not None:
+            tok = self.pos
+            self.pos += 1
+            while pending and pending[-1][0] >= level:
+                done, left = pending.pop()
+                right = _ACTION_NODES[done](left, right)
+            pending.append((level, right))
+            links[level] += 1
+            links[level + 1:] = (0,) * (2 - level)
+            self.depth = base + sum(links) - 1
+            self.descend(tok)
+            right = self.parse_action_operand(trigger)
+        while pending:
+            done, left = pending.pop()
+            right = _ACTION_NODES[done](left, right)
+        self.depth = base
+        return right
 
-    def parse_action_seq(self, trigger: bool) -> ActionExpr:
-        return self.chain(".", Sequence, self.parse_action_conc, trigger)
-
-    def parse_action_conc(self, trigger: bool) -> ActionExpr:
-        return self.chain("&", Concurrent, self.parse_action_unary, trigger)
-
-    def parse_action_unary(self, trigger: bool) -> ActionExpr:
-        tok = self.peek()
-        if tok.kind == "!":
-            self.advance()
+    def parse_action_operand(self, trigger: bool) -> ActionExpr:
+        """An action, a parenthesized action expression, or in triggers a
+        negated action, each with any trailing ``*``."""
+        kinds = self.kinds
+        neg = self.pos
+        kind = kinds[neg]
+        if kind == "!":
+            self.pos += 1
             if not trigger:
-                self.error("negation is allowed only in dynamic triggers", tok)
-            inner = self.parse_action_atom(trigger)
-            if not isinstance(inner, (Atom, ZeroAction, OneAction)):
-                self.error("negation applies to a single action", tok)
-            expr: ActionExpr = Negation(inner)
-        else:
-            expr = self.parse_action_atom(trigger)
-        depth = self.depth
-        while (star_tok := self.accept("*")) is not None:
-            if not trigger:
-                self.error("iteration is allowed only in dynamic triggers", star_tok)
-            self.descend(star_tok)
-            expr = Star(expr)
-        self.depth = depth
-        return expr
-
-    def parse_action_atom(self, trigger: bool) -> ActionExpr:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            return Atom(tok.value)
-        if tok.kind == "0":
-            self.advance()
-            return ZERO
-        if tok.kind == "1":
-            self.advance()
-            return ONE
-        if tok.kind == "(":
-            self.advance()
-            inner = self.nested(tok, self.parse_action, trigger)
+                self.error("negation is allowed only in dynamic triggers", neg)
+        tok = self.pos
+        kind = kinds[tok]
+        if kind == "ident":
+            self.pos += 1
+            expr: ActionExpr = Atom(self.values[tok])
+        elif kind == "0":
+            self.pos += 1
+            expr = ZERO
+        elif kind == "1":
+            self.pos += 1
+            expr = ONE
+        elif kind == "(":
+            self.pos += 1
+            expr = self.nested(tok, self.parse_action, trigger)
             self.expect(")")
-            return inner
-        self.error(f"expected an action, found {_found(tok)}", tok)
-        raise AssertionError("unreachable")
+        else:
+            self.error(f"expected an action, found {_found(kind, self.values[tok])}", tok)
+        if neg != tok:
+            if not isinstance(expr, (Atom, ZeroAction, OneAction)):
+                self.error("negation applies to a single action", neg)
+            expr = Negation(expr)
+        if kinds[self.pos] == "*":
+            depth = self.depth
+            while (star := self.accept("*")) is not None:
+                if not trigger:
+                    self.error("iteration is allowed only in dynamic triggers", star)
+                self.descend(star)
+                expr = Star(expr)
+            self.depth = depth
+        return expr
 
 
 def parse(text: str) -> ParseResult:

@@ -17,7 +17,6 @@ from rclcheck import (
     BuildOptions,
     DeonticOp,
     VerdictKind,
-    action_set_count,
     canonicalize,
     check,
     directed,
@@ -26,7 +25,6 @@ from rclcheck import (
     parse,
     parse_or_raise,
     relativized_universe,
-    rename_spec,
     render,
     run_check,
 )
@@ -38,6 +36,7 @@ from rclcheck.generator import generate
 
 from conftest import CONTRACTS
 from dot_grammar import validate_dot
+from strategies import action_set_count, rename_spec
 
 
 def _passline(name: str) -> None:

@@ -27,7 +27,6 @@ from rclcheck import (
     Star,
     Top,
     VerdictKind,
-    action_set_count,
     check,
     conj,
     construct,
@@ -48,6 +47,7 @@ from rclcheck.generator import generate
 
 from conftest import CONTRACTS
 from dot_grammar import validate_dot
+from strategies import action_set_count
 
 
 def ra(s, a, r):

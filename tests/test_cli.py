@@ -12,11 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rclcheck import generate, render
 from rclcheck.cli import main
 
 from conftest import CONTRACTS, REPO_ROOT
 from dot_grammar import validate_dot
+from strategies import mutated_contracts, token_soup
 
 
 def run(capsys, *argv):
@@ -310,32 +310,6 @@ def test_bench_csv_output(capsys):
 
 # ---------------------------------------------------------------------------
 # fuzzing: every input ends in a verdict or a diagnostic, never a crash
-
-TOKENS = sorted({"conflict", "global", "relativized", "O", "P", "F", "true", "false",
-                 "{", "}", "(", ")", "[", "]", ",", ";", "^", "&", ".", "+", "!", "*",
-                 "(+)", "_/", "/_", "0", "1", "a", "b", "i", "j", "x1", "// note\n",
-                 " ", "\n"})
-token_soup = st.lists(st.sampled_from(TOKENS), max_size=40).map("".join)
-LEXEME = re.compile(r"\(\+\)|_/|/_|[A-Za-z][A-Za-z0-9_]*|\s+|.")
-
-
-@st.composite
-def mutated_contracts(draw):
-    # Soup alone seldom parses; a few token edits of a generated contract
-    # reach the checker with odd but well-formed input much more often.
-    spec = generate(individuals=draw(st.integers(1, 3)), actions=draw(st.integers(1, 3)),
-                    clauses=draw(st.integers(1, 3)), max_depth=3,
-                    seed=draw(st.integers(0, 10**6)))
-    lexemes = LEXEME.findall(render(spec))
-    for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(0, len(lexemes)))
-        edit = draw(st.sampled_from(("insert", "replace", "delete")))
-        if edit != "insert" and at < len(lexemes):
-            del lexemes[at]
-        if edit != "delete":
-            lexemes.insert(at, draw(st.sampled_from(TOKENS)))
-    return "".join(lexemes)
-
 
 @pytest.fixture(scope="module")
 def fuzz_path(tmp_path_factory):

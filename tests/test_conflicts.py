@@ -8,9 +8,11 @@ from rclcheck import (
     BuildOptions,
     ConflictKind,
     ConflictRelations,
+    DeonticGroup,
     DeonticOp,
     DeonticTag,
     GLOBAL,
+    GroupKind,
     Relativization,
     VerdictKind,
     check,
@@ -18,13 +20,14 @@ from rclcheck import (
     iter_group_conflicts,
     parse_or_raise,
     performer,
-    rename_spec,
     run_check,
     search_conflicts,
     tags_conflict,
 )
 from rclcheck.decompose import deontic_tags, prepare
 from rclcheck.generator import generate
+
+from strategies import rename_spec
 
 NO_PREDEF = ConflictRelations()
 
@@ -186,6 +189,12 @@ def test_choice_comparison_is_groupwise():
 
 def test_empty_groups_have_no_conflict():
     assert search_conflicts(frozenset(), NO_PREDEF) is None
+
+
+def test_an_empty_choice_group_clashes_with_nothing():
+    groups = frozenset({DeonticGroup(GroupKind.OBLIGATION_CHOICE, frozenset()),
+                        DeonticGroup(GroupKind.CONJUNCT, frozenset({tag(GLOBAL, O, "a")}))})
+    assert search_conflicts(groups, NO_PREDEF) is None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclcheck import (
     BOTTOM,
@@ -12,6 +14,7 @@ from rclcheck import (
     ConflictRelations,
     ContractSpec,
     Dynamic,
+    Formula,
     Negation,
     Obligation,
     Permission,
@@ -24,11 +27,12 @@ from rclcheck import (
     directed,
     extract_alphabet,
     performer,
-    rename_symbols,
     xchoice,
 )
-from rclcheck.formula import fold
+from rclcheck.formula import fold, join
 from rclcheck.generator import generate
+
+from strategies import canonical_formulas, rename_symbols
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 IJ = directed("i", "j")
@@ -94,6 +98,35 @@ def test_fold_stops_drawing_at_the_first_absorbing_child():
 
         assert fold(kind, children()) == absorbing
         assert drawn == [Permission(GLOBAL, A), absorbing]
+
+
+def fold_flatten_fold(kind, children):
+    """``join`` as three passes: fold the constants, flatten one level and
+    drop duplicates, sort and fold again."""
+    joined = fold(kind, children)
+    if not isinstance(joined, kind):
+        return joined
+    parts = {g for c in joined.children for g in (c.children if isinstance(c, kind) else (c,))}
+    return fold(kind, sorted(parts, key=Formula.sort_key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((And, XChoice)), st.lists(canonical_formulas(), max_size=5))
+def test_join_is_fold_flatten_fold_in_one_pass(kind, children):
+    joined = join(kind, children)
+    assert joined == fold_flatten_fold(kind, children)
+    assert canonicalize(joined) == joined
+    drawn = []
+
+    def lazily():
+        for c in children:
+            drawn.append(c)
+            yield c
+
+    join(kind, lazily())
+    absorbing = BOTTOM if kind is And else TOP
+    assert drawn == (children[:children.index(absorbing) + 1] if absorbing in children
+                     else children)
 
 
 def test_canonicalize_flattens_and_deduplicates():

@@ -21,8 +21,9 @@ from rclcheck import (
     render_formula,
 )
 from rclcheck.formula import GLOBAL
-from rclcheck.generator import generate
 from rclcheck.parser import RclSyntaxError
+
+from strategies import mutated_contracts, specs, token_soup
 
 
 def canonical_clauses(spec):
@@ -96,15 +97,15 @@ def test_special_actions_and_trigger_operators():
     assert parse(render(spec)).ok
 
 
-def test_roundtrip_random_specs():
-    for seed in range(200):
-        spec = generate(individuals=3, actions=4, clauses=2, max_depth=3, seed=seed)
-        result = parse(render(spec))
-        assert result.ok, (seed, [str(d) for d in result.errors])
-        assert canonical_clauses(result.spec) == canonical_clauses(spec)
-        assert result.spec.conflicts == spec.conflicts
-        assert result.spec.individuals == spec.individuals
-        assert result.spec.actions == spec.actions
+@settings(max_examples=200, deadline=None)
+@given(specs(individuals=(1, 3), actions=(1, 4), clauses=(1, 3)))
+def test_roundtrip_random_specs(spec):
+    result = parse(render(spec))
+    assert result.ok, [str(d) for d in result.errors]
+    assert canonical_clauses(result.spec) == canonical_clauses(spec)
+    assert result.spec.conflicts == spec.conflicts
+    assert result.spec.individuals == spec.individuals
+    assert result.spec.actions == spec.actions
 
 
 def test_render_omits_empty_header():
@@ -137,6 +138,33 @@ def test_unknown_token_positions_point_at_the_token(text):
         if diag.message.startswith("unknown token "):
             token = ast.literal_eval(diag.message[len("unknown token "):])
             assert lines[diag.line - 1][diag.column - 1] == token
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mutated_contracts(), token_soup))
+def test_diagnostics_point_into_the_text(text):
+    lines = text.split("\n")
+    for diag in parse(text).diagnostics:
+        assert 1 <= diag.line <= len(lines)
+        assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1  # + 1: end of input
+
+
+@pytest.mark.parametrize(
+    "chain, longest, position",
+    [
+        # Each link opens a level, counted per operator level: an inner
+        # chain starts afresh at each outer link, so n units of two levels
+        # reach n levels ((n - 1) outer links and one inner), of three n + 1.
+        (lambda n: "O(" + "+".join(["a.b"] * n) + ");", 100, "1:404"),
+        (lambda n: "[" + ".".join(["a&b"] * n) + "](O(d));", 100, "1:403"),
+        (lambda n: "[" + "+".join(["a.b&c"] * n) + "](O(d));", 99, "1:599"),
+    ],
+    ids=["seq-in-choice", "conc-in-seq", "conc-in-seq-in-choice"],
+)
+def test_mixed_chain_depth_edges(chain, longest, position):
+    assert parse(chain(longest)).diagnostics == []
+    assert [str(d) for d in parse(chain(longest + 1)).diagnostics] == [
+        f"{position}: error: nesting deeper than 100 levels"]
 
 
 @pytest.mark.parametrize(
