@@ -17,7 +17,7 @@ import math
 import sys
 from typing import Sequence
 
-from .automaton import BuildOptions, SpecialLabel, export_dot, render_label
+from .automaton import BudgetExceeded, BuildOptions, construct, export_dot, render_label
 from .bench import BenchGroup, bench, write_csv
 from .conflicts import CheckOutcome, ConflictReport, VerdictKind, run_check
 from .generator import generate
@@ -137,12 +137,21 @@ def _run_check(args: argparse.Namespace) -> int:
         budget = {"max_states": args.budget, "max_transitions": args.budget}
     options = BuildOptions(complete=args.complete, no_pruning=args.no_pruning, **budget)
     outcome = run_check(result.spec, options)
-    if args.dot and not _write(args.dot, export_dot(outcome.automaton, verbose=args.verbose)):
+    verdict = outcome.verdict
+    automaton = outcome.automaton
+    if args.dot and verdict.decided_before_building:
+        # The export shows the whole automaton, built as far as the budget goes.
+        try:
+            automaton = construct(result.spec, options)
+        except BudgetExceeded as exc:
+            automaton = exc.automaton
+    if args.dot and not _write(args.dot, export_dot(automaton, verbose=args.verbose)):
         return EXIT_INPUT_ERROR
 
-    verdict = outcome.verdict
     if verdict.kind is VerdictKind.CONFLICT_FREE:
         print("No conflict detected.")
+        if args.verbose and verdict.reason:
+            print(f"({verdict.reason})")
         return EXIT_CONFLICT_FREE
     if verdict.kind is VerdictKind.CONFLICTS:
         for i, report in enumerate(verdict.reports):

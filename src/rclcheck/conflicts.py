@@ -3,7 +3,9 @@
 Two tags clash when they demand and forbid the same action for overlapping
 performers, or when a pre-defined conflict relation links their actions.
 States are searched group-against-group; the alternatives of a clause
-choice count as blocked only if every one of them clashes.
+choice count as blocked only if every one of them clashes.  A contract
+none of whose tags can clash with another is conflict-free before any
+automaton is built.
 """
 from __future__ import annotations
 
@@ -18,8 +20,17 @@ from .automaton import (
     construct,
     trace_to,
 )
-from .decompose import DeonticGroup, DeonticOp, DeonticTag, GroupKind
+from .decompose import (
+    DeonticGroup,
+    DeonticOp,
+    DeonticTag,
+    GroupKind,
+    deontic_tags,
+    exposed_tags,
+    prepare,
+)
 from .formula import (
+    ActionName,
     Atom,
     ConflictRelations,
     ContractSpec,
@@ -129,6 +140,45 @@ def search_conflicts(groups: frozenset, rels: ConflictRelations) -> Clash | None
     return next(iter_group_conflicts(groups, rels), None)
 
 
+def clash_free_tag_count(spec: ContractSpec) -> int | None:
+    """How many distinct tags the contract can ever expose (see
+    ``decompose.exposed_tags``) when no two of them can clash, else None.
+
+    A state clashes only through two tags that clash, equal tags in two
+    groups included, so a count means the contract is conflict-free.  Each
+    new tag is tested against the tags that can clash with it: a
+    prohibition against obligations and permissions on its action, and
+    those against prohibitions on their action and against each other
+    across a declared pair.  The walk stops at the first tag that can clash.
+    """
+    rels = spec.conflicts
+    partners: dict[ActionName, list[ActionName]] = {}
+    for pair in rels.global_pairs | rels.relativized_pairs:
+        for a in pair:  # a pair declared as (a, a) holds one action
+            partners.setdefault(a, []).extend(pair - {a} or pair)
+    seen: set[DeonticTag] = set()
+    forbidden: dict[ActionName, list[DeonticTag]] = {}  # prohibitions by action
+    demanded: dict[ActionName, list[DeonticTag]] = {}  # obligations and permissions
+    for tag in exposed_tags(spec.root()):
+        if tag in seen:
+            continue
+        seen.add(tag)
+        action = tag.action
+        if tag.op is _F:
+            forbidden.setdefault(action, []).append(tag)
+            rivals = demanded.get(action, [])
+        else:
+            # Filed first, so that a declared (a, a) tests the tag itself.
+            demanded.setdefault(action, []).append(tag)
+            rivals = forbidden.get(action, [])
+            for b in partners.get(action, ()):
+                rivals = rivals + demanded.get(b, [])
+        for other in rivals:
+            if tags_conflict(tag, other, rels) is not None:
+                return None
+    return len(seen)
+
+
 # ---------------------------------------------------------------------------
 # Whole-contract verdicts
 
@@ -152,6 +202,9 @@ class ConflictReport:
 
 @dataclass(frozen=True)
 class Verdict:
+    """``reason`` says why an inconclusive check stopped, or that a
+    conflict-free one was decided before any automaton was built."""
+
     kind: VerdictKind
     reports: tuple[ConflictReport, ...] = ()
     reason: str = ""
@@ -159,6 +212,10 @@ class Verdict:
     @property
     def is_conflict_free(self) -> bool:
         return self.kind is VerdictKind.CONFLICT_FREE
+
+    @property
+    def decided_before_building(self) -> bool:
+        return self.kind is VerdictKind.CONFLICT_FREE and bool(self.reason)
 
     @property
     def has_conflicts(self) -> bool:
@@ -185,6 +242,22 @@ def render_tag(tag: DeonticTag) -> str:
 
 
 def run_check(spec: ContractSpec, options: BuildOptions = BuildOptions()) -> CheckOutcome:
+    """Decide a contract: conflict-free at once when no two of its tags can
+    clash (see ``clash_free_tag_count``), else by ``build_check``.
+
+    A check decided early carries an automaton of the prepared root alone,
+    with its groups and no transitions; ``construct`` builds the whole one.
+    """
+    tags = clash_free_tag_count(spec)
+    if tags is None:
+        return build_check(spec, options)
+    root = prepare(spec.root())
+    automaton = ContractAutomaton((root,), (deontic_tags(root),), (), spec.effective_individuals)
+    reason = f"decided before building the automaton: no two of its {tags} deontic tags can clash"
+    return CheckOutcome(Verdict(VerdictKind.CONFLICT_FREE, reason=reason), automaton)
+
+
+def build_check(spec: ContractSpec, options: BuildOptions = BuildOptions()) -> CheckOutcome:
     """Build the automaton while searching every state for conflicts.
 
     By default the construction stops at the first conflicting state;

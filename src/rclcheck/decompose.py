@@ -4,9 +4,10 @@ One automaton step performs a (possibly empty) set of relativized actions.
 ``rewrite_compound`` reduces compound actions under deontic and dynamic
 operators to their primitive forms, ``decompose`` computes the residual
 contract after one step, and ``deontic_tags`` reads off the deontic
-labelling of a state.  ``_table`` compiles a state into the one flat step
-table that ``decompose``, the automaton's cubes and its step universe all
-read.
+labelling of a state, and ``exposed_tags`` every tag a state reachable
+from a contract can carry.  ``_table`` compiles a state into the one flat
+step table that ``decompose``, the automaton's cubes and its step universe
+all read.
 """
 from __future__ import annotations
 
@@ -419,3 +420,42 @@ def deontic_tags(formula: Formula) -> frozenset:
         if tag is not None:
             groups.add(DeonticGroup(GroupKind.CONJUNCT, frozenset({tag})))
     return frozenset(groups)
+
+
+def exposed_tags(formula: Formula) -> Iterator[DeonticTag]:
+    """Every deontic tag that a state reachable from ``formula`` can carry.
+
+    Walks ``rewrite_compound`` of the formula, then of every body and
+    reparation that a leaf can expose, each formula once.  The rewrite keeps
+    conjunctions, choices and leaves over basic actions as they are, so
+    only deontic leaves over other actions go through it.  A dynamic
+    exposes its body whatever its trigger: rewriting a compound trigger
+    only guards the body behind more steps, or for ``[a*]C`` holds ``C``
+    at once and ``[a*]C`` itself behind the next ``a``.  Every state is the
+    step normal form of a conjunction of such formulas, and
+    ``canonicalize`` only reorders, merges or folds away parts, so its tags
+    are among these.  Tags come lazily and may repeat, so a caller can stop
+    at the first one it needs.
+    """
+    seen: set[Formula] = set()
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        kind = type(f)
+        if kind is And or kind is XChoice:
+            stack += f.children
+            continue
+        if kind is Dynamic:
+            later = f.body
+        elif kind in _OPS:
+            tag = _tag(f)
+            if tag is None:  # over a compound action, 0 or 1
+                stack.append(rewrite_compound(f))
+                continue
+            yield tag
+            later = None if kind is Permission else f.reparation
+        else:
+            continue
+        if later is not None and later not in seen:
+            seen.add(later)
+            stack.append(later)

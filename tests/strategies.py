@@ -120,12 +120,24 @@ def rename_spec(
 
 
 @st.composite
-def specs(draw, individuals=(1, 3), actions=(1, 3), clauses=(1, 3), max_depth=3) -> ContractSpec:
-    """A generated contract; each size is drawn from its inclusive range."""
-    return generate(individuals=draw(st.integers(*individuals)),
+def specs(draw, individuals=(1, 3), actions=(1, 3), clauses=(1, 3), max_depth=3,
+          pairs=False) -> ContractSpec:
+    """A generated contract; each size is drawn from its inclusive range.
+    With ``pairs``, up to three global and three relativized pairs over its
+    actions are declared besides the generator's, an action paired with
+    itself included."""
+    spec = generate(individuals=draw(st.integers(*individuals)),
                     actions=draw(st.integers(*actions)),
                     clauses=draw(st.integers(*clauses)), max_depth=max_depth,
                     seed=draw(st.integers(0, 10**6)))
+    if not pairs:
+        return spec
+    names = st.sampled_from(sorted(spec.actions) or ["a1"])
+    pair_sets = st.lists(st.tuples(names, names), max_size=3).map(
+        lambda drawn: frozenset(map(frozenset, drawn)))
+    conflicts = ConflictRelations(spec.conflicts.global_pairs | draw(pair_sets),
+                                  spec.conflicts.relativized_pairs | draw(pair_sets))
+    return ContractSpec.from_clauses(spec.clauses, conflicts)
 
 
 TOKENS = sorted({"conflict", "global", "relativized", "O", "P", "F", "true", "false",

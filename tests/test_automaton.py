@@ -40,9 +40,9 @@ from rclcheck import (
     prepare,
     relativized_universe,
     relevant_universe,
-    run_check,
     trace_to,
 )
+from rclcheck.conflicts import build_check
 from rclcheck.generator import generate
 
 from conftest import CONTRACTS
@@ -196,10 +196,11 @@ def test_unsatisfiable_valuation_is_skipped():
 def test_breached_obligations_end_their_cubes():
     # A false test whose leaf breaches the whole state decides it: 30
     # obligations give 31 cubes, not 2**30 valuations.
-    text = "".join(f"{{i,j}}O(a{k}); " for k in range(30))
-    outcome = run_check(parse_or_raise(text), BuildOptions(max_transitions=1_000))
-    assert outcome.verdict.kind is VerdictKind.CONFLICT_FREE
-    assert len(outcome.automaton.transitions) == 33
+    # No two tags can clash, so the check itself builds nothing.
+    spec = parse_or_raise("".join(f"{{i,j}}O(a{k}); " for k in range(30)))
+    options = BuildOptions(max_transitions=1_000)
+    assert len(construct(spec, options).transitions) == 33
+    assert check(spec, options).kind is VerdictKind.CONFLICT_FREE
 
 
 @pytest.mark.parametrize("wildcard", [ONE, Negation(ONE)], ids=["[1]", "[!1]"])
@@ -281,7 +282,7 @@ def test_cubes_partition_the_satisfiable_valuations(n_individuals, clauses, seed
 def test_pruned_verdict_matches_concrete_mode(n_actions, clauses, seed):
     spec = generate(individuals=2, actions=n_actions, clauses=clauses, max_depth=3, seed=seed)
     budget = dict(max_states=2_000, max_transitions=20_000)
-    concrete = check(spec, BuildOptions(no_pruning=True, **budget))
+    concrete = build_check(spec, BuildOptions(no_pruning=True, **budget)).verdict
     assume(concrete.kind is not VerdictKind.INCONCLUSIVE)
     assert check(spec, BuildOptions(**budget)).kind is concrete.kind
 
@@ -355,27 +356,33 @@ def test_witnesses_are_drawn_lazily():
 ], ids=["30 names", "one name"])
 def test_transition_budget_stops_a_state_with_many_valuations(text):
     # Every test of the root decides its residual: 2**30 and 2**21 cubes.
-    verdict = check(parse_or_raise(text), BuildOptions(max_transitions=1_000))
-    assert verdict.kind is VerdictKind.INCONCLUSIVE
-    assert verdict.reason.startswith("transition budget of 1000 exhausted after ")
+    spec, options = parse_or_raise(text), BuildOptions(max_transitions=1_000)
+    with pytest.raises(BudgetExceeded) as exc:
+        construct(spec, options)
+    assert exc.value.reason.startswith("transition budget of 1000 exhausted after ")
+    assert check(spec, options).kind is VerdictKind.CONFLICT_FREE
 
 
 def test_a_state_with_thousands_of_parts_is_checked_within_its_budget():
     # 1,100 performer rows, one per name, each a part of the root's steps.
-    text = "".join(f"{{i}}[a{k}](O(b)); " for k in range(1_100))
-    verdict = check(parse_or_raise(text), BuildOptions(max_transitions=50))
-    assert verdict.kind is VerdictKind.INCONCLUSIVE
-    assert verdict.reason.startswith("transition budget of 50 exhausted after ")
+    spec = parse_or_raise("".join(f"{{i}}[a{k}](O(b)); " for k in range(1_100)))
+    options = BuildOptions(max_transitions=50)
+    with pytest.raises(BudgetExceeded) as exc:
+        construct(spec, options)
+    assert exc.value.reason.startswith("transition budget of 50 exhausted after ")
+    assert check(spec, options).kind is VerdictKind.CONFLICT_FREE
 
 
 def test_labels_hold_one_action_per_performer_test():
     # 200 performers over 200 receivers: the root's relevant universe has
     # 40,000 actions, but a step needs one action per true performer test.
-    text = "".join(f"{{i{k}}}O(a{k}); " for k in range(200))
-    outcome = run_check(parse_or_raise(text), BuildOptions(max_transitions=50))
-    assert outcome.verdict.kind is VerdictKind.INCONCLUSIVE
-    labels = [t.label for t in outcome.automaton.transitions if isinstance(t.label, frozenset)]
+    spec = parse_or_raise("".join(f"{{i{k}}}O(a{k}); " for k in range(200)))
+    options = BuildOptions(max_transitions=50)
+    with pytest.raises(BudgetExceeded) as exc:
+        construct(spec, options)
+    labels = [t.label for t in exc.value.automaton.transitions if isinstance(t.label, frozenset)]
     assert max(map(len, labels)) <= 200
+    assert check(spec, options).kind is VerdictKind.CONFLICT_FREE
 
 
 def test_no_pruning_enumeration_order():
@@ -446,7 +453,7 @@ def test_construction_is_deterministic():
 
 def assert_transitions_follow_decompose(spec, options):
     # The step tables must reproduce the public one-step semantics exactly.
-    automaton = run_check(spec, options).automaton
+    automaton = build_check(spec, options).automaton
     individuals = spec.effective_individuals
     for tr in automaton.transitions:
         if isinstance(tr.label, SpecialLabel):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rclcheck import BudgetExceeded, BuildOptions, construct, export_dot, parse_or_raise
 from rclcheck.cli import main
 
 from conftest import CONTRACTS, REPO_ROOT
@@ -137,6 +138,40 @@ def test_dot_export_of_a_clean_run_has_no_gray_node(capsys, tmp_path):
     assert code == 0
     graph = validate_dot(dot_path.read_text())
     assert not [n for n, a in graph["node_attrs"].items() if a.get("fillcolor") == "gray"]
+
+
+NO_CLASH = "{b,s}[request]({b,s}O(pay) ^ {b,s}[pay]({s,b}O(ship)));\n{s,b}[!ship*]({s,b}F(refund));\n"
+
+
+@pytest.mark.parametrize("argv, options", [
+    ([], BuildOptions()),
+    (["--budget", "3"], BuildOptions(max_states=3, max_transitions=3)),
+], ids=["whole", "partial"])
+def test_a_decided_check_exports_the_built_automaton(capsys, tmp_path, argv, options):
+    # No two tags can clash, so the check builds nothing; -g builds the
+    # automaton anyway, as far as the budget goes.
+    path, dot_path = tmp_path / "ok.rcl", tmp_path / "out.dot"
+    path.write_text(NO_CLASH)
+    code, out, _ = run(capsys, str(path), "-g", str(dot_path), *argv)
+    assert code == 0
+    assert out == "No conflict detected.\n"
+    try:
+        automaton = construct(parse_or_raise(NO_CLASH), options)
+    except BudgetExceeded as exc:
+        automaton = exc.automaton
+    assert dot_path.read_text() == export_dot(automaton)
+    assert len(validate_dot(dot_path.read_text())["nodes"]) >= 2
+
+
+def test_verbose_says_a_check_was_decided_before_building(capsys, tmp_path):
+    path = tmp_path / "ok.rcl"
+    path.write_text(NO_CLASH)
+    code, out, _ = run(capsys, str(path), "-v")
+    assert code == 0
+    assert out.splitlines() == [
+        "No conflict detected.",
+        "(decided before building the automaton: no two of its 3 deontic tags can clash)",
+    ]
 
 
 def test_explicit_check_subcommand(capsys):

@@ -3,8 +3,11 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
 
+import rclcheck.conflicts as conflicts
 from rclcheck import (
+    BudgetExceeded,
     BuildOptions,
     ConflictKind,
     ConflictRelations,
@@ -16,6 +19,7 @@ from rclcheck import (
     Relativization,
     VerdictKind,
     check,
+    construct,
     directed,
     iter_group_conflicts,
     parse_or_raise,
@@ -24,10 +28,11 @@ from rclcheck import (
     search_conflicts,
     tags_conflict,
 )
-from rclcheck.decompose import deontic_tags, prepare
+from rclcheck.conflicts import build_check, clash_free_tag_count
+from rclcheck.decompose import deontic_tags, exposed_tags, prepare
 from rclcheck.generator import generate
 
-from strategies import rename_spec
+from strategies import rename_spec, specs
 
 NO_PREDEF = ConflictRelations()
 
@@ -247,10 +252,13 @@ def test_complete_reports_are_sorted_and_carry_traces():
 
 
 def test_budget_exhaustion_is_inconclusive():
+    # No two of this contract's tags can clash, so only the build runs out.
     spec = generate(individuals=4, actions=4, clauses=3, max_depth=3, seed=3)
-    verdict = check(spec, BuildOptions(max_transitions=10))
-    assert verdict.kind is VerdictKind.INCONCLUSIVE
-    assert "budget" in verdict.reason
+    options = BuildOptions(max_transitions=10)
+    with pytest.raises(BudgetExceeded) as exc:
+        construct(spec, options)
+    assert "budget" in exc.value.reason
+    assert check(spec, options).kind is VerdictKind.CONFLICT_FREE
 
 
 def test_renaming_preserves_verdicts_and_maps_clashes():
@@ -300,3 +308,58 @@ def test_sales_contract_fixture(sales_contract_text):
 def test_amended_sales_contract_fixture(amended_contract_text):
     verdict = check(parse_or_raise(amended_contract_text))
     assert verdict.is_conflict_free
+
+
+# ---------------------------------------------------------------------------
+# Deciding before building
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs(pairs=True))
+def test_exposed_tags_cover_every_reachable_state(spec):
+    try:
+        automaton = construct(spec, BuildOptions(complete=True, max_states=300,
+                                                 max_transitions=3_000))
+    except BudgetExceeded as exc:
+        automaton = exc.automaton
+    exposed = set(exposed_tags(spec.root()))
+    for groups in automaton.deontic:
+        for group in groups:
+            assert group.tags <= exposed
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs(pairs=True))
+def test_the_pre_check_agrees_with_the_full_build(spec):
+    options = BuildOptions(max_states=2_000, max_transitions=20_000)
+    built = build_check(spec, options).verdict
+    assume(built.kind is not VerdictKind.INCONCLUSIVE)
+    if clash_free_tag_count(spec) is not None:
+        assert built.is_conflict_free
+    assert check(spec, options).kind is built.kind
+
+
+def test_a_wide_contract_without_clashes_is_decided_without_comparing_tags(monkeypatch):
+    calls = []
+    monkeypatch.setattr(conflicts, "tags_conflict", lambda *args: calls.append(args))
+    spec = parse_or_raise("".join(f"{{i}}O(a{k}); " for k in range(1_100)))
+    outcome = run_check(spec, BuildOptions(max_states=50, max_transitions=50))
+    assert outcome.verdict.kind is VerdictKind.CONFLICT_FREE
+    assert outcome.verdict.reason == ("decided before building the automaton: "
+                                      "no two of its 1100 deontic tags can clash")
+    assert outcome.automaton.n_states == 1 and not outcome.automaton.transitions
+    assert calls == []
+
+
+@pytest.mark.parametrize("header, clauses", [
+    ("conflict { global { (a, b) }; };", "{i}O(a) ^ {j}O(b);"),
+    ("conflict { relativized { (a, b) }; };", "{i}O(a) ^ {i}P(b);"),
+    # One tag in two groups: a conjunct, and a choice whose branches differ
+    # only in a reparation.
+    ("conflict { global { (a, a) }; };", "O(a) ^ (O(a) (+) O(a) _/P(b)/_);"),
+], ids=["global", "relativized", "self-paired"])
+def test_a_clash_through_a_declared_pair_is_not_decided_early(header, clauses):
+    assert clash_free_tag_count(parse_or_raise(clauses)) is not None
+    spec = parse_or_raise(header + clauses)
+    assert clash_free_tag_count(spec) is None
+    assert check(spec).has_conflicts
