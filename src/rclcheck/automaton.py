@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import chain, combinations, product, starmap
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .decompose import (
     _NEVER,
@@ -44,8 +44,7 @@ class SpecialLabel(Enum):
 Label = frozenset | SpecialLabel
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: int
     label: Label
     target: int

@@ -25,21 +25,16 @@ from .decompose import (
     DeonticOp,
     DeonticTag,
     GroupKind,
-    deontic_tags,
     exposed_tags,
-    prepare,
 )
 from .formula import (
     ActionName,
-    Atom,
     ConflictRelations,
     ContractSpec,
     Formula,
-    Obligation,
-    Permission,
-    Prohibition,
     Relativization,
 )
+from .parser import _render_rel
 
 
 class ConflictKind(Enum):
@@ -231,28 +226,21 @@ class CheckOutcome:
 
 
 def render_tag(tag: DeonticTag) -> str:
-    from .parser import render_formula
-
-    ctor = {
-        DeonticOp.OBLIGATION: Obligation,
-        DeonticOp.PERMISSION: Permission,
-        DeonticOp.PROHIBITION: Prohibition,
-    }[tag.op]
-    return render_formula(ctor(tag.rel, Atom(tag.action)))
+    """A tag as the clause text it stands for, e.g. ``{c,b}O(pay)``."""
+    return f"{_render_rel(tag.rel)}{tag.op.value}({tag.action})"
 
 
 def run_check(spec: ContractSpec, options: BuildOptions = BuildOptions()) -> CheckOutcome:
     """Decide a contract: conflict-free at once when no two of its tags can
     clash (see ``clash_free_tag_count``), else by ``build_check``.
 
-    A check decided early carries an automaton of the prepared root alone,
-    with its groups and no transitions; ``construct`` builds the whole one.
+    A check decided early builds nothing and carries an automaton without
+    states; ``construct`` builds the whole one.
     """
     tags = clash_free_tag_count(spec)
     if tags is None:
         return build_check(spec, options)
-    root = prepare(spec.root())
-    automaton = ContractAutomaton((root,), (deontic_tags(root),), (), spec.effective_individuals)
+    automaton = ContractAutomaton((), (), (), spec.effective_individuals)
     reason = f"decided before building the automaton: no two of its {tags} deontic tags can clash"
     return CheckOutcome(Verdict(VerdictKind.CONFLICT_FREE, reason=reason), automaton)
 

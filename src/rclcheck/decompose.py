@@ -11,7 +11,6 @@ all read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -67,17 +66,23 @@ class DeonticOp(Enum):
     PERMISSION = "P"
     PROHIBITION = "F"
 
+    # Members are singletons, so identity is equality and hashing stays in C.
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class DeonticTag:
-    """One deontic operator over a basic action, as recorded at a state."""
+
+class DeonticTag(NamedTuple):
+    """One deontic operator over a basic action, as recorded at a state.
+
+    A named tuple, so the sets of tags and groups hash and compare in C.
+    """
 
     rel: Relativization
     op: DeonticOp
     action: ActionName
 
     def sort_key(self) -> tuple:
-        return (self.op.value, self.action) + self.rel.key()
+        # ``_value_`` is ``value`` without the enum property's call.
+        return (self.op._value_, self.action) + self.rel.key()
 
     def __repr__(self) -> str:
         return f"{self.rel!r}:{self.op.value}({self.action})"
@@ -87,9 +92,10 @@ class GroupKind(Enum):
     CONJUNCT = "conjunct"
     OBLIGATION_CHOICE = "choice"
 
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class DeonticGroup:
+
+class DeonticGroup(NamedTuple):
     """A deontic-label group: a lone conjunct tag, or the alternatives of a
     clause choice (which count as discharged while any alternative is free)."""
 
@@ -97,7 +103,7 @@ class DeonticGroup:
     tags: frozenset[DeonticTag]
 
     def sort_key(self) -> tuple:
-        return (self.kind.value, tuple(sorted(t.sort_key() for t in self.tags)))
+        return (self.kind._value_, tuple(sorted(t.sort_key() for t in self.tags)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ deduplication.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -63,20 +64,20 @@ class _Keyed:
 # Relativizations
 
 
-@dataclass(frozen=True)
-class Relativization:
+class Relativization(namedtuple("_Relativization", "sender receiver")):
     """Binding of an operator to parties: global, performer, or directed.
 
     ``Relativization()`` is the global form (all individuals), a sender
     alone is a performer form, sender plus receiver is the directed form.
+    A tuple ``(sender, receiver)``, so it hashes and compares at C speed.
     """
 
-    sender: Individual | None = None
-    receiver: Individual | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.receiver is not None and self.sender is None:
+    def __new__(cls, sender: Individual | None = None, receiver: Individual | None = None):
+        if receiver is not None and sender is None:
             raise ValueError("a receiver requires a sender")
+        return tuple.__new__(cls, (sender, receiver))
 
     @property
     def is_global(self) -> bool:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rclcheck import (
     BOTTOM,
+    GLOBAL,
     TOP,
     And,
     Atom,
@@ -17,8 +18,12 @@ from rclcheck import (
     Concurrent,
     ConflictRelations,
     ContractSpec,
+    DeonticGroup,
+    DeonticOp,
+    DeonticTag,
     Dynamic,
     Formula,
+    GroupKind,
     Negation,
     OneAction,
     Permission,
@@ -28,7 +33,9 @@ from rclcheck import (
     Top,
     XChoice,
     ZeroAction,
+    directed,
     generate,
+    performer,
     render,
 )
 from rclcheck.decompose import prepare
@@ -171,3 +178,17 @@ def canonical_formulas(draw) -> Formula:
     spec = draw(specs(individuals=(1, 2), actions=(1, 3), clauses=(1, 3)))
     return draw(st.sampled_from((TOP, BOTTOM, prepare(spec.root()),
                                  *map(prepare, spec.clauses))))
+
+
+# ---------------------------------------------------------------------------
+# Deontic values
+
+
+_NAMES = st.sampled_from(("i", "j", "k"))
+# Self-directed pairs included: the parser warns about them but keeps them.
+relativizations = st.one_of(st.just(GLOBAL), _NAMES.map(performer),
+                            st.builds(directed, _NAMES, _NAMES))
+tag_values = st.builds(DeonticTag, relativizations, st.sampled_from(DeonticOp),
+                       st.sampled_from(("a", "b")))
+group_values = st.builds(DeonticGroup, st.sampled_from(GroupKind),
+                         st.frozensets(tag_values, min_size=1, max_size=3))

@@ -33,7 +33,6 @@ from rclcheck.bench import BenchGroup, bench, write_csv
 from rclcheck.conflicts import ConflictKind, build_check, tags_conflict
 from rclcheck.decompose import DeonticTag
 from rclcheck.formula import ConflictRelations, GLOBAL, Relativization
-from rclcheck.generator import generate
 
 from conftest import CONTRACTS
 from dot_grammar import validate_dot
@@ -94,19 +93,16 @@ def test_criterion_4_universe_combinatorics():
     _passline("4 universe combinatorics")
 
 
+@settings(max_examples=200, deadline=None)
+@given(specs(individuals=(2, 2), actions=(2, 2), clauses=(1, 2), max_depth=3))
+def _engine_agrees_with_the_oracle(spec):
+    assert check(spec).has_conflicts == oracle_verdict(spec, max_len=4).conflict
+
+
 def test_criterion_5_oracle_equivalence():
     started = time.monotonic()
-    disagreements = []
-    for seed in range(200):
-        spec = generate(
-            individuals=2, actions=2, clauses=1 + seed % 2, max_depth=3, seed=seed
-        )
-        engine = check(spec)
-        oracle = oracle_verdict(spec, max_len=4)
-        if engine.has_conflicts != oracle.conflict:
-            disagreements.append(seed)
+    _engine_agrees_with_the_oracle()
     elapsed = time.monotonic() - started
-    assert not disagreements, disagreements
     assert elapsed < 300.0, f"took {elapsed:.1f}s"
     _passline(f"5 oracle equivalence over 200 specs in {elapsed:.1f}s")
 
@@ -126,15 +122,27 @@ def test_criterion_6_renaming_preserves_verdicts(spec):
     assert check(spec).kind == check(rename_spec(spec, ind_map, act_map)).kind
 
 
+@settings(max_examples=1000, deadline=None)
+@given(specs(individuals=(3, 3), actions=(4, 4), clauses=(2, 2), max_depth=3))
+def _render_round_trips(spec):
+    result = parse(render(spec))
+    assert result.ok
+    assert tuple(canonicalize(c) for c in result.spec.clauses) == tuple(
+        canonicalize(c) for c in spec.clauses
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs(individuals=(2, 2), actions=(2, 2), clauses=(1, 2), max_depth=3))
+def _pruning_keeps_the_concrete_verdict(spec):
+    # The reference is a concrete build, whatever the pre-check decides.
+    concrete = build_check(spec, BuildOptions(no_pruning=True)).verdict
+    assert check(spec).kind == concrete.kind
+
+
 def test_criterion_6_property_suites():
     # parser round-trip over 1,000 generated specs
-    for seed in range(1000):
-        spec = generate(individuals=3, actions=4, clauses=2, max_depth=3, seed=seed)
-        result = parse(render(spec))
-        assert result.ok, seed
-        assert tuple(canonicalize(c) for c in result.spec.clauses) == tuple(
-            canonicalize(c) for c in spec.clauses
-        )
+    _render_round_trips()
 
     # clash symmetry, exhaustive over three individuals and three actions
     individuals = ("i", "j", "k")
@@ -156,12 +164,8 @@ def test_criterion_6_property_suites():
         for d1, d2 in itertools.product(tags, repeat=2):
             assert tags_conflict(d1, d2, rels) == tags_conflict(d2, d1, rels)
 
-    # pruning does not change verdicts at small scale; the reference is a
-    # concrete build, whatever the pre-check decides
-    for seed in range(60):
-        spec = generate(individuals=2, actions=2, clauses=1 + seed % 2, max_depth=3, seed=seed)
-        concrete = build_check(spec, BuildOptions(no_pruning=True)).verdict
-        assert check(spec).kind == concrete.kind
+    # pruning does not change verdicts at small scale
+    _pruning_keeps_the_concrete_verdict()
 
     # a global obligation clashes with any single-party prohibition on
     # the same action

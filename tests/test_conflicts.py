@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 
 import rclcheck.conflicts as conflicts
 from rclcheck import (
+    Atom,
     BudgetExceeded,
     BuildOptions,
     ConflictKind,
@@ -16,22 +17,28 @@ from rclcheck import (
     DeonticTag,
     GLOBAL,
     GroupKind,
+    Obligation,
+    Permission,
+    Prohibition,
     Relativization,
     VerdictKind,
     check,
     construct,
     directed,
+    export_dot,
     iter_group_conflicts,
     parse_or_raise,
     performer,
+    render_formula,
     run_check,
     search_conflicts,
     tags_conflict,
 )
-from rclcheck.conflicts import build_check, clash_free_tag_count
+from rclcheck.conflicts import build_check, clash_free_tag_count, render_tag
 from rclcheck.decompose import deontic_tags, exposed_tags, prepare
 from rclcheck.generator import generate
 
+from dot_grammar import validate_dot
 from strategies import rename_spec, specs
 
 NO_PREDEF = ConflictRelations()
@@ -347,8 +354,26 @@ def test_a_wide_contract_without_clashes_is_decided_without_comparing_tags(monke
     assert outcome.verdict.kind is VerdictKind.CONFLICT_FREE
     assert outcome.verdict.reason == ("decided before building the automaton: "
                                       "no two of its 1100 deontic tags can clash")
-    assert outcome.automaton.n_states == 1 and not outcome.automaton.transitions
+    assert outcome.automaton.n_states == 0 and not outcome.automaton.transitions
     assert calls == []
+
+
+def test_a_check_decided_early_builds_an_automaton_without_states():
+    outcome = run_check(parse_or_raise("{b,s}[request]({b,s}O(pay)) ^ {s}P(ship);"))
+    assert outcome.verdict.decided_before_building
+    automaton = outcome.automaton
+    assert automaton.n_states == 0 and not automaton.transitions and not automaton.deontic
+    for verbose in (False, True):
+        assert validate_dot(export_dot(automaton, verbose=verbose))["nodes"] == set()
+
+
+def test_render_tag_is_the_rendered_clause():
+    individuals = ("i", "j", "k")
+    rels = [GLOBAL, *map(performer, individuals),
+            *(directed(s, r) for s in individuals for r in individuals)]
+    ctors = {O: Obligation, P: Permission, F: Prohibition}
+    for rel, (op, ctor), action in itertools.product(rels, ctors.items(), ("a", "b", "c")):
+        assert render_tag(tag(rel, op, action)) == render_formula(ctor(rel, Atom(action)))
 
 
 @pytest.mark.parametrize("header, clauses", [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from rclcheck import (
     BOTTOM,
@@ -13,6 +14,7 @@ from rclcheck import (
     Choice,
     Concurrent,
     Dynamic,
+    DeonticGroup,
     DeonticOp,
     DeonticTag,
     GroupKind,
@@ -35,6 +37,8 @@ from rclcheck import (
     xchoice,
 )
 from rclcheck.generator import generate
+
+from strategies import group_values, tag_values
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 I = performer("i")
@@ -309,3 +313,32 @@ def test_reparations_carry_no_tags():
     f = prepare(Obligation(IJ, A, Prohibition(IJ, B)))
     tags = {t for g in deontic_tags(f) for t in g.tags}
     assert tags == {tag(IJ, DeonticOp.OBLIGATION, "a")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(tag_values, tag_values)
+def test_tags_are_tuples_that_keep_their_order_and_text(t1, t2):
+    sender, receiver = t1.rel
+    assert (t1 == t2) == (tuple(t1.rel) == tuple(t2.rel) and t1.op is t2.op
+                          and t1.action == t2.action)
+    assert t1 != t2 or hash(t1) == hash(t2)
+    assert t1 == (t1.rel, t1.op, t1.action)
+    assert t1.sort_key() == (t1.op.value, t1.action, sender or "", receiver or "")
+    assert repr(t1) == f"{t1.rel!r}:{t1.op.value}({t1.action})"
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_values, group_values)
+def test_groups_are_tuples_that_keep_their_order_and_text(g1, g2):
+    assert (g1 == g2) == (g1.kind is g2.kind and g1.tags == g2.tags)
+    assert g1 != g2 or hash(g1) == hash(g2)
+    assert g1.sort_key() == (g1.kind.value, tuple(sorted(t.sort_key() for t in g1.tags)))
+    assert repr(g1) == f"DeonticGroup(kind={g1.kind!r}, tags={g1.tags!r})"
+
+
+def test_tag_order_and_text_are_pinned():
+    tag = DeonticTag(directed("c", "b"), DeonticOp.PROHIBITION, "deliverProduct")
+    assert tag.sort_key() == ("F", "deliverProduct", "c", "b")
+    assert repr(tag) == "directed('c', 'b'):F(deliverProduct)"
+    group = DeonticGroup(GroupKind.CONJUNCT, frozenset({tag}))
+    assert group.sort_key() == ("conjunct", (("F", "deliverProduct", "c", "b"),))

@@ -32,7 +32,7 @@ from rclcheck import (
 from rclcheck.formula import fold, join
 from rclcheck.generator import generate
 
-from strategies import canonical_formulas, rename_symbols
+from strategies import canonical_formulas, relativizations, rename_symbols
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 IJ = directed("i", "j")
@@ -54,6 +54,18 @@ def test_relativization_shapes():
     assert IJ.individuals() == {"i", "j"}
     with pytest.raises(ValueError):
         Relativization(None, "j")
+
+
+@settings(max_examples=200, deadline=None)
+@given(relativizations, relativizations)
+def test_relativizations_are_tuples_that_keep_their_key_and_text(r1, r2):
+    sender, receiver = r1
+    assert (r1 == r2) == (r1.sender == r2.sender and r1.receiver == r2.receiver)
+    assert r1 != r2 or hash(r1) == hash(r2)
+    assert r1 == (sender, receiver) and hash(r1) == hash((sender, receiver))
+    assert r1.key() == (sender or "", receiver or "")
+    assert repr(r1) == ("GLOBAL" if sender is None else f"performer({sender!r})"
+                        if receiver is None else f"directed({sender!r}, {receiver!r})")
 
 
 def test_canonicalize_top_is_conjunction_identity():
