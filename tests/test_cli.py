@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import os
 import re
@@ -68,6 +69,24 @@ def test_reports_do_not_depend_on_the_hash_seed():
         assert done.returncode == 1, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+# sha256 of the DOT that ``-g FILE -v`` writes for the sales contract.
+SALES_COMPLETE_DOT_SHA256 = "b08bdae86d12b352b5940944eb407faa246c487ef79bb5afc807eb07188c87b6"
+
+
+def test_sales_complete_verbose_output_is_pinned(capsys, tmp_path):
+    # Canonical child order decides state numbering and every rendered
+    # state, so a change to how formulas order shows here byte for byte.
+    golden = (REPO_ROOT / "tests" / "data" / "sales-complete-verbose.txt").read_text()
+    code, out, _ = run(capsys, str(CONTRACTS / "sales-contract.rcl"), "--complete", "-v")
+    assert code == 1
+    assert out == golden
+    dot_path = tmp_path / "sales.dot"
+    code, _, _ = run(capsys, str(CONTRACTS / "sales-contract.rcl"), "--complete", "-v",
+                     "-g", str(dot_path))
+    assert code == 1
+    assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == SALES_COMPLETE_DOT_SHA256
 
 
 def test_verbose_report_appends_formulas_and_labels(capsys):
