@@ -4,12 +4,12 @@ Run from the repository root:  python3 demos/02_decomposition_walkthrough.py
 """
 from rclcheck import (
     RelativizedAction,
-    decompose,
     deontic_tags,
     parse_or_raise,
     prepare,
     render_formula,
 )
+from rclcheck.decompose import decompose
 
 spec = parse_or_raise("{i,j}O(a.b) ^ {i}[c*]({i,j}F(b));")
 individuals = spec.effective_individuals

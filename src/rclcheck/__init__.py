@@ -40,7 +40,6 @@ from .decompose import (
     DeonticTag,
     GroupKind,
     RelativizedAction,
-    decompose,
     deontic_tags,
     prepare,
     rewrite_compound,

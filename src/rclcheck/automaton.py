@@ -309,7 +309,7 @@ def enumerate_action_sets(
     if not options.no_pruning:
         return _cubes(table, individuals, actions)
     universe = sorted(relativized_universe(individuals, actions))
-    return ((step, _apply(table, step, individuals, join), None)
+    return ((step, _apply(table, step, individuals), None)
             for size in range(len(universe), -1, -1)
             for step in map(frozenset, combinations(universe, size)))
 

@@ -50,18 +50,20 @@ _O, _P, _F = DeonticOp.OBLIGATION, DeonticOp.PERMISSION, DeonticOp.PROHIBITION
 def _performers_overlap(r1: Relativization, r2: Relativization) -> bool:
     # A global operator overlaps everyone.  Directed operators pin the
     # exact sender-receiver pair, so two directed forms overlap only when
-    # both components agree; a bare performer overlaps on the sender.
-    if r1.is_global or r2.is_global:
+    # they are equal; a bare performer overlaps on the sender.  Fields are
+    # unpacked once: a named-tuple property read costs more than the test.
+    s1, t1 = r1
+    s2, t2 = r2
+    if s1 is None or s2 is None:
         return True
-    if r1.is_directed and r2.is_directed:
-        return r1.sender == r2.sender and r1.receiver == r2.receiver
-    return r1.sender == r2.sender
+    if t1 is not None and t2 is not None:
+        return r1 == r2
+    return s1 == s2
 
 
 def _senders_overlap(r1: Relativization, r2: Relativization) -> bool:
-    if r1.is_global or r2.is_global:
-        return True
-    return r1.sender == r2.sender
+    s1, s2 = r1[0], r2[0]
+    return s1 is None or s2 is None or s1 == s2
 
 
 def tags_conflict(

@@ -41,7 +41,7 @@ from .formula import (
     canonicalize,
     conj,
     conjuncts,
-    fold,
+    join,
     xchoice,
 )
 
@@ -257,17 +257,17 @@ def decompose(
     state one transition per cube of its tests.  The formula is compiled
     whole into a step table (see ``_table``) before the step is applied, so
     a compound test or a raw ``Star`` trigger raises ``ValueError`` even
-    behind a breached sibling.  The residual has its constants folded (see ``fold``), but it
-    is not canonical: bodies and reparations exposed by the step are
-    returned as written, and the caller applies ``prepare``, the step
-    normal form, before the next step.
+    behind a breached sibling.  The residual is canonical, its spine
+    joined by ``join``, but bodies and reparations exposed by the step are
+    not rewritten, so the caller applies ``prepare``, the step normal
+    form, before the next step.
     """
     for act in step:
         if act.sender not in individuals or act.receiver not in individuals:
             raise ValueError(f"unknown individual in step: {act!r}")
         if actions is not None and act.action not in actions:
             raise ValueError(f"unknown action in step: {act!r}")
-    return _apply(_table(formula, _same), step, individuals, fold)
+    return _apply(_table(formula, _same), step, individuals)
 
 
 def _same(formula: Formula) -> Formula:
@@ -346,16 +346,10 @@ def _table(formula: Formula, outcome: Callable[[Formula], Formula]) -> tuple[lis
     return nodes, parent, index
 
 
-def _apply(
-    table: tuple,
-    step: frozenset,
-    individuals: frozenset[Individual],
-    combine: Callable[[type, Iterator[Formula]], Formula],
-) -> Formula:
+def _apply(table: tuple, step: frozenset, individuals: frozenset[Individual]) -> Formula:
     """The residual of a step table after ``step``: each leaf's outcome,
-    joined up its spine by ``combine`` (``fold``, or ``join`` for a
-    canonical residual).  Children are drawn lazily, so a ``combine`` that
-    stops at an absorbing child skips the rest."""
+    joined up its spine by ``join``.  Children are drawn lazily, so the
+    rest of a spine after an absorbing child is skipped."""
     nodes = table[0]
     pairs: set | None = None  # built when a performer or global test is first read
 
@@ -363,7 +357,7 @@ def _apply(
         nonlocal pairs
         node = nodes[n]
         if len(node) == 2:
-            return combine(node[0], map(go, node[1]))
+            return join(node[0], map(go, node[1]))
         test, if_true, if_false = node
         kind = type(test)
         if kind is RelativizedAction:

@@ -21,8 +21,8 @@ class _Keyed:
     """Mixin giving AST nodes a cached structural key.
 
     The key is a nested tuple unique to the node's shape; hashing, equality
-    and deterministic ordering all go through it.  Caches live in the
-    instance ``__dict__`` so frozen dataclasses can still fill them lazily.
+    and the canonical order of children all go through it.  Caches live in
+    the instance ``__dict__`` so frozen dataclasses can still fill them.
     """
 
     def _build_key(self) -> tuple:
@@ -34,13 +34,6 @@ class _Keyed:
             k = self._build_key()
             object.__setattr__(self, "_k", k)
         return k
-
-    def sort_key(self) -> str:
-        s = self.__dict__.get("_sk")
-        if s is None:
-            s = repr(self.key())
-            object.__setattr__(self, "_sk", s)
-        return s
 
     def __hash__(self) -> int:
         h = self.__dict__.get("_h")
@@ -122,8 +115,6 @@ def directed(sender: Individual, receiver: Individual) -> Relativization:
 
 class ActionExpr(_Keyed):
     """Base class of the action algebra."""
-
-    __hash__ = _Keyed.__hash__
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -222,8 +213,6 @@ def action_atoms(expr: ActionExpr) -> Iterator[ActionName]:
 class Formula(_Keyed):
     """Base class of contract formulas."""
 
-    __hash__ = _Keyed.__hash__
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Top(Formula):
@@ -244,6 +233,13 @@ class Bottom(Formula):
 TOP = Top()
 BOTTOM = Bottom()
 
+# The key of a missing reparation.  Every other key starts with a
+# lowercase tag, so this one sorts after every present reparation.  Keys
+# hold only tuples and identifier strings, so their tuple order is the
+# order of their reprs, this marker written ``None``: quotes, commas and
+# closing brackets sort below every identifier character.
+_NO_REPARATION = ("~",)
+
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Obligation(Formula):
@@ -252,7 +248,7 @@ class Obligation(Formula):
     reparation: Formula | None = None
 
     def _build_key(self) -> tuple:
-        rep = self.reparation.key() if self.reparation is not None else None
+        rep = self.reparation.key() if self.reparation is not None else _NO_REPARATION
         return ("ob", self.rel.key(), self.action.key(), rep)
 
 
@@ -272,7 +268,7 @@ class Prohibition(Formula):
     reparation: Formula | None = None
 
     def _build_key(self) -> tuple:
-        rep = self.reparation.key() if self.reparation is not None else None
+        rep = self.reparation.key() if self.reparation is not None else _NO_REPARATION
         return ("proh", self.rel.key(), self.action.key(), rep)
 
 
@@ -327,28 +323,6 @@ def xchoice(*children: Formula) -> Formula:
     return XChoice(tuple(children))
 
 
-def fold(kind: type[And] | type[XChoice], children: Iterable[Formula]) -> Formula:
-    """Join ``children`` into a conjunction or a choice, folding constants.
-
-    ``TOP`` is neutral in ``And`` and absorbing in ``XChoice``, ``BOTTOM``
-    the reverse.  The first absorbing child decides the result and the rest
-    are never drawn, so ``children`` may be a lazy generator.  An empty join
-    is the neutral constant and a single child stands alone.
-    """
-    neutral, absorbing = (TOP, BOTTOM) if kind is And else (BOTTOM, TOP)
-    parts = []
-    for c in children:
-        if isinstance(c, type(absorbing)):
-            return absorbing
-        if not isinstance(c, type(neutral)):
-            parts.append(c)
-    if not parts:
-        return neutral
-    if len(parts) == 1:
-        return parts[0]
-    return kind(tuple(parts))
-
-
 def conjuncts(formula: Formula) -> tuple[Formula, ...]:
     """Top-level conjuncts of a formula (itself if not a conjunction)."""
     if isinstance(formula, And):
@@ -363,10 +337,10 @@ def conjuncts(formula: Formula) -> tuple[Formula, ...]:
 def canonicalize(formula: Formula) -> Formula:
     """Normal form used for state comparison.
 
-    Conjunctions and choices are flattened into sorted, duplicate-free
-    n-ary nodes; neutral and absorbing constants are folded away
-    (``TOP ^ C -> C``, ``BOTTOM ^ C -> BOTTOM``, ``TOP (+) C -> TOP``,
-    ``BOTTOM (+) C -> C``).  Idempotent, and alphabet-preserving.
+    Conjunctions and choices are flattened into duplicate-free n-ary nodes
+    whose children sort by their structural key; neutral and absorbing
+    constants are folded away (``TOP ^ C -> C``, ``BOTTOM ^ C -> BOTTOM``,
+    ``TOP (+) C -> TOP``, ``BOTTOM (+) C -> C``).  Idempotent, and alphabet-preserving.
     """
     if isinstance(formula, (Top, Bottom, Permission)):
         return formula
@@ -390,10 +364,11 @@ def canonicalize(formula: Formula) -> Formula:
 def join(kind: type[And] | type[XChoice], children: Iterable[Formula]) -> Formula:
     """Canonical conjunction or choice of canonical ``children``.
 
-    In one pass: folds constants as ``fold`` does, stopping at the first
-    absorbing child, flattens children of the same kind one level (being
-    canonical, they hold no constants), drops duplicates, and sorts, so
-    the result is canonical.  ``children`` may be a lazy generator.
+    In one pass: folds constants (``TOP`` is neutral in ``And`` and
+    absorbing in ``XChoice``, ``BOTTOM`` the reverse), stopping at the
+    first absorbing child, so ``children`` may be a lazy generator; flattens
+    children of the same kind one level (being canonical, they hold no
+    constants); drops duplicates; and sorts by key.
     """
     neutral, absorbing = (TOP, BOTTOM) if kind is And else (BOTTOM, TOP)
     parts: set[Formula] = set()
@@ -409,7 +384,7 @@ def join(kind: type[And] | type[XChoice], children: Iterable[Formula]) -> Formul
         return neutral
     if len(parts) == 1:
         return parts.pop()
-    return kind(tuple(sorted(parts, key=Formula.sort_key)))
+    return kind(tuple(sorted(parts, key=Formula.key)))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from .formula import (
     Prohibition,
     Top,
     XChoice,
-    fold,
 )
 
 ActionTrace = tuple  # of frozenset[RelativizedAction]
@@ -208,7 +207,7 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
         for size in range(1, len(universe) + 1):
             candidates.extend(frozenset(c) for c in combinations(universe, size))
         for step in candidates:
-            residual = prepare(_apply(table, step, individuals, fold))
+            residual = prepare(_apply(table, step, individuals))
             found = explore(residual, remaining - 1, prefix + (step,))
             if found is not None:
                 return found

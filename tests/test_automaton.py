@@ -30,7 +30,6 @@ from rclcheck import (
     check,
     conj,
     construct,
-    decompose,
     directed,
     enumerate_action_sets,
     export_dot,
@@ -43,6 +42,7 @@ from rclcheck import (
     trace_to,
 )
 from rclcheck.conflicts import build_check
+from rclcheck.decompose import decompose
 from rclcheck.generator import generate
 
 from conftest import CONTRACTS

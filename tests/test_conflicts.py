@@ -141,6 +141,27 @@ def test_tags_conflict_symmetry_exhaustive():
             assert tags_conflict(d1, d2, rels) == tags_conflict(d2, d1, rels)
 
 
+def _performers_overlap_by_properties(r1, r2):
+    """The overlap rule as written on the relativization properties."""
+    if r1.is_global or r2.is_global:
+        return True
+    if r1.is_directed and r2.is_directed:
+        return r1.sender == r2.sender and r1.receiver == r2.receiver
+    return r1.sender == r2.sender
+
+
+def _senders_overlap_by_properties(r1, r2):
+    return r1.is_global or r2.is_global or r1.sender == r2.sender
+
+
+def test_overlap_helpers_match_the_property_rule_exhaustively():
+    rels = _all_rels(["i", "j", "k"])
+    assert len(rels) == 13  # global, 3 performers, 9 directed (self-directed too)
+    for r1, r2 in itertools.product(rels, repeat=2):
+        assert conflicts._performers_overlap(r1, r2) == _performers_overlap_by_properties(r1, r2)
+        assert conflicts._senders_overlap(r1, r2) == _senders_overlap_by_properties(r1, r2)
+
+
 def _clashing(d, rels):
     """Every tag over ``d``'s action and individuals i, j that clashes with ``d``."""
     candidates = (tag(rel, op, d.action) for rel in _all_rels(("i", "j")) for op in DeonticOp)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclcheck import (
     BOTTOM,
@@ -28,17 +31,18 @@ from rclcheck import (
     XChoice,
     canonicalize,
     conj,
-    decompose,
     deontic_tags,
     directed,
     performer,
     prepare,
+    relativized_universe,
     rewrite_compound,
     xchoice,
 )
+from rclcheck.decompose import decompose
 from rclcheck.generator import generate
 
-from strategies import group_values, tag_values
+from strategies import group_values, specs, tag_values
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 I = performer("i")
@@ -240,6 +244,29 @@ def test_iteration_step_equals_single_unfold():
     for step in (frozenset(), frozenset({a}), frozenset({b}), frozenset({a, b})):
         assert decompose(unfolded, step, INDS) == decompose(once, step, INDS)
     assert decompose(unfolded, frozenset({a, b}), INDS) == star
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs(individuals=(1, 2), actions=(1, 3), clauses=(1, 3)), st.data())
+def test_decompose_of_a_normal_form_is_canonical(spec, data):
+    # The spine is joined canonically; exposed bodies are canonical already,
+    # only not rewritten, so ``prepare`` is still needed before the next step.
+    individuals = spec.effective_individuals
+    universe = sorted(relativized_universe(individuals, spec.actions))
+    steps = (st.frozensets(st.sampled_from(universe), max_size=4) if universe
+             else st.just(frozenset()))
+    for formula in (prepare(spec.root()), *map(prepare, spec.clauses)):
+        for _ in range(2):
+            residual = decompose(formula, data.draw(steps), individuals)
+            assert canonicalize(residual) == residual
+            formula = prepare(residual)
+
+
+def test_the_decompose_package_attribute_is_the_module():
+    import rclcheck.decompose as d
+
+    assert d is sys.modules["rclcheck.decompose"]
+    assert d.rewrite_compound is rewrite_compound
 
 
 def test_decompose_rejects_unknown_step_symbols():

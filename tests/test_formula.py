@@ -29,7 +29,7 @@ from rclcheck import (
     performer,
     xchoice,
 )
-from rclcheck.formula import fold, join
+from rclcheck.formula import join
 from rclcheck.generator import generate
 
 from strategies import canonical_formulas, relativizations, rename_symbols
@@ -89,37 +89,32 @@ def test_canonicalize_choice_constants():
     assert canonicalize(xchoice(BOTTOM, BOTTOM)) == BOTTOM
 
 
-def test_fold_constant_table_and_singletons():
-    some, other = Obligation(IJ, A), Prohibition(IJ, B)
-    for kind, neutral, absorbing in ((And, TOP, BOTTOM), (XChoice, BOTTOM, TOP)):
-        assert fold(kind, []) == neutral
-        assert fold(kind, [neutral, neutral]) == neutral
-        assert fold(kind, [some, absorbing]) == absorbing
-        assert fold(kind, [neutral, some, neutral]) == some
-        assert fold(kind, [some, neutral, other]) == kind((some, other))
+def repr_order(formula: Formula) -> str:
+    """The order that children once sorted by: the repr of the key, with a
+    missing reparation written as ``None``."""
+    return repr(formula.key()).replace("('~',)", "None")
 
 
-def test_fold_stops_drawing_at_the_first_absorbing_child():
-    for kind, absorbing in ((And, BOTTOM), (XChoice, TOP)):
-        drawn = []
-
-        def children():
-            for c in (Permission(GLOBAL, A), absorbing, Permission(GLOBAL, B)):
-                drawn.append(c)
-                yield c
-
-        assert fold(kind, children()) == absorbing
-        assert drawn == [Permission(GLOBAL, A), absorbing]
+def fold(kind, children):
+    """Join ``children`` into a ``kind`` node, folding constants only."""
+    neutral, absorbing = (TOP, BOTTOM) if kind is And else (BOTTOM, TOP)
+    parts = []
+    for c in children:
+        if c == absorbing:
+            return absorbing
+        if c != neutral:
+            parts.append(c)
+    return neutral if not parts else parts[0] if len(parts) == 1 else kind(tuple(parts))
 
 
 def fold_flatten_fold(kind, children):
     """``join`` as three passes: fold the constants, flatten one level and
-    drop duplicates, sort and fold again."""
+    drop duplicates, sort in repr order and fold again."""
     joined = fold(kind, children)
     if not isinstance(joined, kind):
         return joined
     parts = {g for c in joined.children for g in (c.children if isinstance(c, kind) else (c,))}
-    return fold(kind, sorted(parts, key=Formula.sort_key))
+    return fold(kind, sorted(parts, key=repr_order))
 
 
 @settings(max_examples=300, deadline=None)
@@ -139,6 +134,39 @@ def test_join_is_fold_flatten_fold_in_one_pass(kind, children):
     absorbing = BOTTOM if kind is And else TOP
     assert drawn == (children[:children.index(absorbing) + 1] if absorbing in children
                      else children)
+
+
+def subformulas(formula: Formula):
+    """``formula`` and every formula inside it, bodies and reparations too."""
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        yield f
+        if isinstance(f, (And, XChoice)):
+            stack.extend(f.children)
+        elif isinstance(f, Dynamic):
+            stack.append(f.body)
+        elif isinstance(f, (Obligation, Prohibition)) and f.reparation is not None:
+            stack.append(f.reparation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_formulas())
+def test_canonical_children_increase_in_repr_order(formula):
+    # Children sort by key; on keys, tuple order is the order of their reprs,
+    # so canonical forms, state numbering and rendered states never moved.
+    for f in subformulas(formula):
+        if isinstance(f, (And, XChoice)):
+            order = [repr_order(c) for c in f.children]
+            assert all(a < b for a, b in zip(order, order[1:]))
+
+
+def test_a_missing_reparation_sorts_after_every_present_one():
+    present = [Obligation(IJ, A, rep) for rep in (TOP, BOTTOM, Prohibition(IJ, C))]
+    missing = Obligation(IJ, A)
+    joined = join(And, [missing, *present])
+    assert joined.children[-1] == missing
+    assert [repr_order(c) for c in joined.children] == sorted(map(repr_order, joined.children))
 
 
 def test_canonicalize_flattens_and_deduplicates():

@@ -20,7 +20,6 @@ from rclcheck import (
     Top,
     check,
     conj,
-    decompose,
     deontic_tags,
     directed,
     oracle_verdict,
@@ -30,6 +29,7 @@ from rclcheck import (
     satisfies,
 )
 from rclcheck.automaton import relevant_universe
+from rclcheck.decompose import decompose
 from rclcheck.formula import And, Formula, Prohibition as Proh, XChoice
 from rclcheck.generator import generate
 
