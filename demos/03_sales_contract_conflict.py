@@ -22,7 +22,7 @@ print("  trace:")
 for step in report.trace:
     if step.label is not None:
         print("      --T%d--> %s" % (step.via, sorted(map(repr, step.label))))
-    print("      s%d: %s" % (step.state, render_formula(outcome.automaton.formula_of(step.state))[:100]))
+    print("      s%d: %s" % (step.state, render_formula(outcome.automaton.formulas[step.state])[:100]))
 
 # The amended contract keys both the delivery obligation and the
 # carrier's internal rule to the same bank notification, so the

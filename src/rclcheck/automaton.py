@@ -81,23 +81,19 @@ class BuildOptions:
 
 @dataclass(frozen=True)
 class ContractAutomaton:
+    """State s is the residual ``formulas[s]``, and state 0 is the initial
+    one.  ``conflict_states`` holds what a check found; ``construct``
+    leaves it empty."""
+
     formulas: tuple[Formula, ...]
-    deontic: tuple[frozenset, ...]
     transitions: tuple[Transition, ...]
     individuals: frozenset[Individual]
-    initial: int = 0
     violation: int | None = None
     conflict_states: frozenset[int] = frozenset()
 
     @property
     def n_states(self) -> int:
         return len(self.formulas)
-
-    def formula_of(self, state: int) -> Formula:
-        return self.formulas[state]
-
-    def deontic_of(self, state: int) -> frozenset:
-        return self.deontic[state]
 
 
 class BudgetExceeded(Exception):
@@ -331,11 +327,11 @@ def construct(
     when the state is visited, with each exposed body and reparation
     prepared once per construction.  Every action of a step is checked
     against the alphabet the first time a step holds it.
-    ``on_state`` runs on every state as soon as it is labelled, before its
-    successors are explored; returning True marks the state as conflicting
-    and, unless ``options.complete`` is set, halts the construction there:
-    the automaton built so far is returned.  Raises ``BudgetExceeded``
-    (with the partial automaton attached) where a budget runs out.
+    ``on_state`` runs on every state with its deontic groups, before its
+    successors are explored; returning True halts the construction there:
+    the automaton built so far is returned.  States are labelled only for
+    ``on_state``.  Raises ``BudgetExceeded`` (with the partial automaton
+    attached) where a budget runs out.
     """
     individuals = spec.effective_individuals
     checked: set = set()  # actions of drawn steps, all inside the alphabet
@@ -347,21 +343,12 @@ def construct(
     deadline = None if options.time_limit is None else time.monotonic() + options.time_limit
 
     formulas: list[Formula] = []
-    groups: list[frozenset] = []
     transitions: list[Transition] = []
     state_ids: dict[Formula, int] = {}
-    conflict_states: set[int] = set()
     violation: int | None = None
 
     def snapshot() -> ContractAutomaton:
-        return ContractAutomaton(
-            formulas=tuple(formulas),
-            deontic=tuple(groups),
-            transitions=tuple(transitions),
-            individuals=individuals,
-            violation=violation,
-            conflict_states=frozenset(conflict_states),
-        )
+        return ContractAutomaton(tuple(formulas), tuple(transitions), individuals, violation)
 
     def exhausted(limit: str) -> BudgetExceeded:
         reason = (f"{limit} exhausted after {len(formulas)} states"
@@ -381,19 +368,16 @@ def construct(
         sid = len(formulas)
         state_ids[formula] = sid
         formulas.append(formula)
-        groups.append(deontic_tags(formula))
         return sid
 
     def visit(sid: int) -> bool:
-        # The conflict callback runs first, and True means it halts the
-        # build; satisfied and violated residuals become self-looping
-        # sinks, everything else is expanded into cubes depth-first.
+        # The callback runs first, and True means it halts the build;
+        # satisfied and violated residuals become self-looping sinks,
+        # everything else is expanded into cubes depth-first.
         nonlocal violation
         formula = formulas[sid]
-        if on_state is not None and on_state(sid, formula, groups[sid]):
-            conflict_states.add(sid)
-            if not options.complete:
-                return True
+        if on_state is not None and on_state(sid, formula, deontic_tags(formula)):
+            return True
         if isinstance(formula, Top):
             add_transition(sid, SpecialLabel.TOP_LOOP, sid)
         elif isinstance(formula, Bottom):
@@ -445,15 +429,15 @@ class TraceStep:
 
 
 def trace_to(automaton: ContractAutomaton, state: int) -> tuple[TraceStep, ...]:
-    """One shortest path from the initial state, by breadth-first search."""
+    """One shortest path from state 0, by breadth-first search."""
     if not (0 <= state < automaton.n_states):
         raise ValueError(f"no such state: {state}")
     adjacency: dict[int, list[tuple[int, int]]] = {}
     for idx, tr in enumerate(automaton.transitions):
         adjacency.setdefault(tr.source, []).append((idx, tr.target))
     parents: dict[int, tuple[int, int]] = {}  # state -> (parent, transition idx)
-    seen = {automaton.initial}
-    queue = deque([automaton.initial])
+    seen = {0}
+    queue = deque([0])
     while queue and state not in seen:
         source = queue.popleft()
         for idx, target in adjacency.get(source, ()):
@@ -462,14 +446,14 @@ def trace_to(automaton: ContractAutomaton, state: int) -> tuple[TraceStep, ...]:
                 parents[target] = (source, idx)
                 queue.append(target)
     if state not in seen:
-        raise ValueError(f"state s{state} is unreachable from s{automaton.initial}")
+        raise ValueError(f"state s{state} is unreachable from s0")
     path: list[TraceStep] = []
     cursor = state
-    while cursor != automaton.initial:
+    while cursor:
         parent, idx = parents[cursor]
         path.append(TraceStep(cursor, automaton.transitions[idx].label, idx))
         cursor = parent
-    path.append(TraceStep(automaton.initial))
+    path.append(TraceStep(0))
     path.reverse()
     return tuple(path)
 

@@ -17,9 +17,9 @@ import math
 import sys
 from typing import Sequence
 
-from .automaton import BudgetExceeded, BuildOptions, construct, export_dot, render_label
+from .automaton import BuildOptions, export_dot, render_label
 from .bench import BenchGroup, bench, write_csv
-from .conflicts import CheckOutcome, ConflictReport, VerdictKind, run_check
+from .conflicts import CheckOutcome, ConflictReport, VerdictKind, build_check, run_check
 from .generator import generate
 from .parser import parse, render, render_formula
 
@@ -113,7 +113,7 @@ def _print_report(report: ConflictReport, outcome: CheckOutcome, verbose: bool) 
     if verbose:
         automaton = outcome.automaton
         for step in report.trace:
-            print(f"  s{step.state}: {render_formula(automaton.formula_of(step.state))}")
+            print(f"  s{step.state}: {render_formula(automaton.formulas[step.state])}")
             if step.via is not None:
                 print(f"  T{step.via}: {render_label(step.label)}")
 
@@ -139,12 +139,9 @@ def _run_check(args: argparse.Namespace) -> int:
     outcome = run_check(result.spec, options)
     verdict = outcome.verdict
     automaton = outcome.automaton
-    if args.dot and verdict.decided_before_building:
-        # The export shows the whole automaton, built as far as the budget goes.
-        try:
-            automaton = construct(result.spec, options)
-        except BudgetExceeded as exc:
-            automaton = exc.automaton
+    if args.dot and not automaton.n_states:
+        # Decided before building: build as far as the budget goes to export.
+        automaton = build_check(result.spec, options).automaton
     if args.dot and not _write(args.dot, export_dot(automaton, verbose=args.verbose)):
         return EXIT_INPUT_ERROR
 

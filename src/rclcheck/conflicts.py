@@ -9,7 +9,7 @@ automaton is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .automaton import (
@@ -211,10 +211,6 @@ class Verdict:
         return self.kind is VerdictKind.CONFLICT_FREE
 
     @property
-    def decided_before_building(self) -> bool:
-        return self.kind is VerdictKind.CONFLICT_FREE and bool(self.reason)
-
-    @property
     def has_conflicts(self) -> bool:
         return self.kind is VerdictKind.CONFLICTS
 
@@ -242,7 +238,7 @@ def run_check(spec: ContractSpec, options: BuildOptions = BuildOptions()) -> Che
     tags = clash_free_tag_count(spec)
     if tags is None:
         return build_check(spec, options)
-    automaton = ContractAutomaton((), (), (), spec.effective_individuals)
+    automaton = ContractAutomaton((), (), spec.effective_individuals)
     reason = f"decided before building the automaton: no two of its {tags} deontic tags can clash"
     return CheckOutcome(Verdict(VerdictKind.CONFLICT_FREE, reason=reason), automaton)
 
@@ -254,18 +250,15 @@ def build_check(spec: ContractSpec, options: BuildOptions = BuildOptions()) -> C
     under ``options.complete`` the whole reachable space is explored and
     every conflicting state is reported, ordered by trace length and state
     id.  Exhausted budgets yield an inconclusive verdict over the partial
-    automaton.
+    automaton.  The automaton's ``conflict_states`` are the states reported.
     """
-    flagged: list[Clash] = []
-    states: list[int] = []
+    clashes: dict[int, Clash] = {}
 
     def on_state(sid: int, formula: Formula, groups: frozenset) -> bool:
         clash = search_conflicts(groups, spec.conflicts)
-        if clash is None:
-            return False
-        flagged.append(clash)
-        states.append(sid)
-        return True
+        if clash is not None:
+            clashes[sid] = clash
+        return clash is not None and not options.complete
 
     exhausted: str | None = None
     try:
@@ -273,26 +266,17 @@ def build_check(spec: ContractSpec, options: BuildOptions = BuildOptions()) -> C
     except BudgetExceeded as exc:
         automaton = exc.automaton
         exhausted = exc.reason
+    automaton = replace(automaton, conflict_states=frozenset(clashes))
 
-    reports = []
-    for sid, (left, right, kind) in zip(states, flagged):
-        reports.append(
-            ConflictReport(
-                state=sid,
-                kind=kind,
-                left=left,
-                right=right,
-                trace=trace_to(automaton, sid),
-                left_clause=render_tag(left),
-                right_clause=render_tag(right),
-            )
-        )
-    reports.sort(key=lambda r: (len(r.trace), r.state))
-
+    reports = tuple(sorted(
+        (ConflictReport(sid, kind, left, right, trace_to(automaton, sid),
+                        render_tag(left), render_tag(right))
+         for sid, (left, right, kind) in clashes.items()),
+        key=lambda r: (len(r.trace), r.state)))
     if exhausted is not None:
-        verdict = Verdict(VerdictKind.INCONCLUSIVE, tuple(reports), exhausted)
+        verdict = Verdict(VerdictKind.INCONCLUSIVE, reports, exhausted)
     elif reports:
-        verdict = Verdict(VerdictKind.CONFLICTS, tuple(reports))
+        verdict = Verdict(VerdictKind.CONFLICTS, reports)
     else:
         verdict = Verdict(VerdictKind.CONFLICT_FREE)
     return CheckOutcome(verdict, automaton)

@@ -4,8 +4,8 @@
 of action and deontic traces.  ``oracle_verdict`` searches for conflicting
 states by re-decomposing the contract from the root along every bounded
 trace, with none of the automaton machinery (no state sharing, no
-witness steps, no early construction stop) but its step universe,
-``relevant_universe`` of each residual's step table.
+witness steps, no early construction stop): each residual steps over every
+subset of ``relevant_universe`` of its step table.
 """
 from __future__ import annotations
 
@@ -179,10 +179,13 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
 
     Every subset of ``relevant_universe`` is a step here, so the engine's
     enumerator, one witness step per cube of a state's leaf tests, is not
-    the oracle's.  The universe itself, spare action included, is
-    shared with the engine: a defect in it shows the same way in both, and
-    only the concrete mode (``BuildOptions(no_pruning=True)``, ``-n``),
-    which steps over the whole universe, can catch it.
+    the oracle's, and neither is the universe: the engine never reads
+    ``relevant_universe``, and ``_cubes`` picks a true wildcard's spare
+    action by its own rule, the least action that makes no test fixed
+    false true.  ``_apply`` is shared only with the concrete mode
+    (``BuildOptions(no_pruning=True)``, ``-n``).  What the oracle does
+    share with the engine is ``_table``, ``prepare``, ``deontic_tags`` and
+    ``search_conflicts``.
     """
     individuals = spec.effective_individuals
     if len(individuals) > _MAX_INDIVIDUALS or len(spec.actions) > _MAX_ACTIONS:

@@ -468,10 +468,7 @@ class _Parser:
 def parse(text: str) -> ParseResult:
     """Parse contract text; errors leave ``spec`` unset in the result."""
     diagnostics: list[ParseDiagnostic] = []
-    spec = _Parser(text, diagnostics).parse_file()
-    if any(d.severity == "error" for d in diagnostics):
-        spec = None
-    return ParseResult(spec, diagnostics)
+    return ParseResult(_Parser(text, diagnostics).parse_file(), diagnostics)
 
 
 def parse_or_raise(text: str) -> ContractSpec:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rclcheck.automaton
 from rclcheck import (
     BOTTOM,
     GLOBAL,
@@ -449,6 +450,14 @@ def test_construction_is_deterministic():
     second = construct(spec)
     assert first.formulas == second.formulas
     assert first.transitions == second.transitions
+
+
+def test_construct_labels_states_only_for_a_callback(monkeypatch, sales_contract_text):
+    def refuse(formula):
+        raise AssertionError("construct labelled a state without a callback")
+
+    monkeypatch.setattr(rclcheck.automaton, "deontic_tags", refuse)
+    assert construct(parse_or_raise(sales_contract_text)).n_states > 1
 
 
 def assert_transitions_follow_decompose(spec, options):

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rclcheck import BudgetExceeded, BuildOptions, construct, export_dot, parse_or_raise
+from rclcheck import (BudgetExceeded, BuildOptions, construct, export_dot, parse_or_raise,
+                      run_check)
 from rclcheck.cli import main
 
 from conftest import CONTRACTS, REPO_ROOT
@@ -149,6 +150,21 @@ def test_dot_export_marks_the_conflict_gray(capsys, tmp_path):
     graph = validate_dot(dot_path.read_text())
     gray = [n for n, attrs in graph["node_attrs"].items() if attrs.get("fillcolor") == "gray"]
     assert len(gray) == 1
+
+
+def test_an_inconclusive_export_marks_every_reported_state_gray(capsys, tmp_path):
+    dot_path = tmp_path / "out.dot"
+    argv = ["--complete", "--budget", "200"]
+    code, out, _ = run(capsys, str(CONTRACTS / "sales-contract.rcl"), *argv, "-g", str(dot_path))
+    assert code == 3
+    assert out.startswith("Verification inconclusive: ")
+    graph = validate_dot(dot_path.read_text())
+    gray = {n for n, attrs in graph["node_attrs"].items() if attrs.get("fillcolor") == "gray"}
+    options = BuildOptions(complete=True, max_states=200, max_transitions=200)
+    reports = run_check(parse_or_raise((CONTRACTS / "sales-contract.rcl").read_text()),
+                        options).verdict.reports
+    assert len(gray) == len(reports) == 3
+    assert gray == {f"s{r.state}" for r in reports}
 
 
 def test_dot_export_of_a_clean_run_has_no_gray_node(capsys, tmp_path):

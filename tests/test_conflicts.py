@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import rclcheck.conflicts as conflicts
 from rclcheck import (
@@ -312,12 +313,14 @@ def test_renaming_preserves_verdicts_and_maps_clashes():
         base_clashes = {
             frozenset((mapped_tag(l), mapped_tag(r)))
             for sid in base.automaton.conflict_states
-            for (l, r, _) in iter_group_conflicts(base.automaton.deontic_of(sid), spec.conflicts)
+            for (l, r, _) in iter_group_conflicts(
+                deontic_tags(base.automaton.formulas[sid]), spec.conflicts)
         }
         other_clashes = {
             frozenset((l, r))
             for sid in other.automaton.conflict_states
-            for (l, r, _) in iter_group_conflicts(other.automaton.deontic_of(sid), renamed.conflicts)
+            for (l, r, _) in iter_group_conflicts(
+                deontic_tags(other.automaton.formulas[sid]), renamed.conflicts)
         }
         assert base_clashes == other_clashes
 
@@ -351,8 +354,8 @@ def test_exposed_tags_cover_every_reachable_state(spec):
     except BudgetExceeded as exc:
         automaton = exc.automaton
     exposed = set(exposed_tags(spec.root()))
-    for groups in automaton.deontic:
-        for group in groups:
+    for formula in automaton.formulas:
+        for group in deontic_tags(formula):
             assert group.tags <= exposed
 
 
@@ -365,6 +368,18 @@ def test_the_pre_check_agrees_with_the_full_build(spec):
     if clash_free_tag_count(spec) is not None:
         assert built.is_conflict_free
     assert check(spec, options).kind is built.kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs(pairs=True), st.booleans(), st.sampled_from([20, 2_000]))
+def test_conflict_states_are_the_reported_states(spec, complete, budget):
+    # Small budgets draw inconclusive checks, whose partial automata must
+    # also mark exactly the states reported.
+    options = BuildOptions(complete=complete, max_states=budget, max_transitions=budget)
+    outcome = build_check(spec, options)
+    reported = {r.state for r in outcome.verdict.reports}
+    assert outcome.automaton.conflict_states == reported
+    assert len(reported) == len(outcome.verdict.reports)
 
 
 def test_a_wide_contract_without_clashes_is_decided_without_comparing_tags(monkeypatch):
@@ -381,9 +396,10 @@ def test_a_wide_contract_without_clashes_is_decided_without_comparing_tags(monke
 
 def test_a_check_decided_early_builds_an_automaton_without_states():
     outcome = run_check(parse_or_raise("{b,s}[request]({b,s}O(pay)) ^ {s}P(ship);"))
-    assert outcome.verdict.decided_before_building
+    assert outcome.verdict.kind is VerdictKind.CONFLICT_FREE
+    assert outcome.verdict.reason.startswith("decided before building the automaton")
     automaton = outcome.automaton
-    assert automaton.n_states == 0 and not automaton.transitions and not automaton.deontic
+    assert automaton.n_states == 0 and not automaton.transitions
     for verbose in (False, True):
         assert validate_dot(export_dot(automaton, verbose=verbose))["nodes"] == set()
 
