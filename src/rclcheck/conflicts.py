@@ -156,7 +156,7 @@ def clash_free_tag_count(spec: ContractSpec) -> int | None:
     seen: set[DeonticTag] = set()
     forbidden: dict[ActionName, list[DeonticTag]] = {}  # prohibitions by action
     demanded: dict[ActionName, list[DeonticTag]] = {}  # obligations and permissions
-    for tag in exposed_tags(spec.root()):
+    for tag in exposed_tags(*spec.clauses):
         if tag in seen:
             continue
         seen.add(tag)

@@ -422,14 +422,15 @@ def deontic_tags(formula: Formula) -> frozenset:
     return frozenset(groups)
 
 
-def exposed_tags(formula: Formula) -> Iterator[DeonticTag]:
-    """Every deontic tag that a state reachable from ``formula`` can carry.
+def exposed_tags(*formulas: Formula) -> Iterator[DeonticTag]:
+    """Every deontic tag that a state reachable from the conjunction of
+    ``formulas`` can carry.
 
-    Walks ``rewrite_compound`` of the formula, then of every body and
-    reparation that a leaf can expose, each formula once.  The rewrite keeps
-    conjunctions, choices and leaves over basic actions as they are, so
-    only deontic leaves over other actions go through it.  A dynamic
-    exposes its body whatever its trigger: rewriting a compound trigger
+    Walks ``rewrite_compound`` of the formulas, then of every body and
+    reparation that a leaf can expose, each formula object once.  The
+    rewrite keeps conjunctions, choices and leaves over basic actions as
+    they are, so only deontic leaves over other actions go through it.  A
+    dynamic exposes its body whatever its trigger: rewriting a compound trigger
     only guards the body behind more steps, or for ``[a*]C`` holds ``C``
     at once and ``[a*]C`` itself behind the next ``a``.  Every state is the
     step normal form of a conjunction of such formulas, and
@@ -437,8 +438,13 @@ def exposed_tags(formula: Formula) -> Iterator[DeonticTag]:
     are among these.  Tags come lazily and may repeat, so a caller can stop
     at the first one it needs.
     """
-    seen: set[Formula] = set()
-    stack = [formula]
+    # Bodies and reparations seen, by identity: an equal copy is walked
+    # again, but hashing fresh formulas would build keys that an early
+    # decision never reads.  The values keep each seen formula alive, so
+    # that its id is not reused by one the rewrite makes later.  The walk
+    # ends, as only deontic leaves are rewritten, and no ``*`` is under one.
+    seen: dict[int, Formula] = {}
+    stack = list(formulas)
     while stack:
         f = stack.pop()
         kind = type(f)
@@ -456,6 +462,6 @@ def exposed_tags(formula: Formula) -> Iterator[DeonticTag]:
             later = None if kind is Permission else f.reparation
         else:
             continue
-        if later is not None and later not in seen:
-            seen.add(later)
+        if later is not None and id(later) not in seen:
+            seen[id(later)] = later
             stack.append(later)

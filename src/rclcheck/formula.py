@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Individual = str
 ActionName = str
@@ -190,20 +190,6 @@ class Star(ActionExpr):
 
     def _build_key(self) -> tuple:
         return ("star", self.inner.key())
-
-
-def action_atoms(expr: ActionExpr) -> Iterator[ActionName]:
-    """Yield every basic-action name occurring in ``expr``."""
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Atom):
-            yield e.name
-        elif isinstance(e, (Concurrent, Sequence, Choice)):
-            stack.append(e.left)
-            stack.append(e.right)
-        elif isinstance(e, (Negation, Star)):
-            stack.append(e.inner)
 
 
 # ---------------------------------------------------------------------------
@@ -395,24 +381,32 @@ def extract_alphabet(
     clauses: Iterable[Formula],
 ) -> tuple[frozenset[Individual], frozenset[ActionName]]:
     """Every individual and basic action syntactically occurring anywhere."""
-    individuals: set[Individual] = set()
+    individuals: set[Individual | None] = set()
     actions: set[ActionName] = set()
-    stack: list[Formula] = list(clauses)
+    stack: list[_Keyed] = list(clauses)  # formulas and actions alike
     while stack:
-        f = stack.pop()
-        if isinstance(f, (Top, Bottom)):
-            continue
-        if isinstance(f, (And, XChoice)):
-            stack.extend(f.children)
-            continue
-        individuals.update(f.rel.individuals())
-        if isinstance(f, Dynamic):
-            actions.update(action_atoms(f.trigger))
-            stack.append(f.body)
-        else:
-            actions.update(action_atoms(f.action))
-            if not isinstance(f, Permission) and f.reparation is not None:
-                stack.append(f.reparation)
+        node = stack.pop()
+        kind = type(node)
+        if kind is Atom:
+            actions.add(node.name)
+        elif kind is And or kind is XChoice:
+            stack += node.children
+        elif kind is Obligation or kind is Prohibition:
+            individuals.update(node.rel)  # a missing party reads None
+            stack.append(node.action)
+            if node.reparation is not None:
+                stack.append(node.reparation)
+        elif kind is Permission:
+            individuals.update(node.rel)
+            stack.append(node.action)
+        elif kind is Dynamic:
+            individuals.update(node.rel)
+            stack += (node.trigger, node.body)
+        elif kind is Sequence or kind is Concurrent or kind is Choice:
+            stack += (node.left, node.right)
+        elif kind is Negation or kind is Star:
+            stack.append(node.inner)
+    individuals.discard(None)
     return frozenset(individuals), frozenset(actions)
 
 

@@ -20,10 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate, compress, repeat
-from operator import itemgetter
-from typing import Iterator
+from itertools import islice, repeat
 
 from .formula import (
     GLOBAL,
@@ -107,16 +104,12 @@ class RclSyntaxError(Exception):
 # Tokenizer
 
 _MARKS = ("(+)", "_/", "/_", *"{}()[],;^&.+!*01")  # longest first
-# One ``findall`` pass over alternatives tried in order at each offset:
-# whitespace and ``//`` comments, a token (a mark, then a word), or any
-# other single character, which is an error.  Every match fills one of
-# the three groups.
-_SCANNER = re.compile(
-    r"([ \t\r\n]+|//[^\n]*)"
-    rf"|({'|'.join(map(re.escape, _MARKS))}|[A-Za-z][A-Za-z0-9_]*)"
-    r"|(.)",
-    re.DOTALL,
-)
+# One group-free ``findall`` pass, so each match is a plain string: a
+# ``//`` comment, a mark, a word, or any other single character, tried in
+# that order at each offset; whitespace between matches is skipped.
+# Comments and other characters are no tokens (the latter an error).
+# Token offsets are not kept: a diagnostic scans again for its own.
+_SCANNER = re.compile(r"//[^\n]*|\(\+\)|_/|/_|[{}()\[\],;^&.+!*01]|[A-Za-z][A-Za-z0-9_]*|[^ \t\r\n]")
 # A token's kind is its text, except that a non-keyword word is "ident".
 _KINDS = {t: t for t in (*_MARKS, *KEYWORDS)}
 
@@ -144,28 +137,32 @@ class _Parser:
     def __init__(self, text: str, diagnostics: list[ParseDiagnostic]):
         self.text = text
         self.diagnostics = diagnostics
-        self.matches = _SCANNER.findall(text)
-        self.values = [tok for _, tok, _ in self.matches if tok]
+        self.values = _SCANNER.findall(text)
+        # Matches that are neither marks nor keywords are identifiers (ASCII,
+        # from a letter), and comments and unknown characters, which are
+        # dropped.  ``isalpha`` alone would take ``µ`` for a letter.
+        self.dropped = {v for v in set(self.values).difference(_KINDS)
+                        if not (v.isascii() and v[0].isalpha())}
+        if self.dropped:
+            self.values = [v for v in self.values if v not in self.dropped]
+            for match in _SCANNER.finditer(text):
+                if match[0] in self.dropped and match[0][:2] != "//":
+                    self.diagnose("error", f"unknown token {match[0]!r}", match.start())
         self.kinds = list(map(_KINDS.get, self.values, repeat("ident")))
         self.kinds.append("eof")
         self.values.append("")
         self.pos = 0
         self.depth = 0
-        if any(map(itemgetter(2), self.matches)):
-            for start, (_, _, bad) in zip(self.starts(), self.matches):
-                if bad:
-                    self.diagnose("error", f"unknown token {bad!r}", start)
 
     # -- diagnostics -------------------------------------------------------
 
-    def starts(self) -> Iterator[int]:
-        """Each match's offset in the text, from the lengths before it."""
-        return accumulate(map(len, map("".join, self.matches)), initial=0)
-
-    @cached_property
-    def offsets(self) -> list[int]:
-        """Each token's offset; only diagnostics need them."""
-        return [*compress(self.starts(), map(itemgetter(1), self.matches)), len(self.text)]
+    def offset(self, tok: int) -> int:
+        """Token ``tok``'s offset in the text, found by scanning up to it."""
+        matches = _SCANNER.finditer(self.text)
+        if self.dropped:
+            matches = (m for m in matches if m[0] not in self.dropped)
+        match = next(islice(matches, tok, None), None)
+        return len(self.text) if match is None else match.start()
 
     def diagnose(self, severity: str, message: str, offset: int) -> None:
         """Record a diagnostic at ``offset``; its line and column (from 1,
@@ -175,11 +172,11 @@ class _Parser:
         self.diagnostics.append(ParseDiagnostic(severity, line, column, message))
 
     def error(self, message: str, tok: int | None = None) -> None:
-        self.diagnose("error", message, self.offsets[self.pos if tok is None else tok])
+        self.diagnose("error", message, self.offset(self.pos if tok is None else tok))
         raise _ParseAbort
 
     def warn(self, message: str, tok: int) -> None:
-        self.diagnose("warning", message, self.offsets[tok])
+        self.diagnose("warning", message, self.offset(tok))
 
     # -- token plumbing ----------------------------------------------------
 
@@ -192,10 +189,13 @@ class _Parser:
     def expect(self, kind: str, what: str | None = None) -> int:
         tok = self.pos
         if self.kinds[tok] != kind:
-            found = _found(self.kinds[tok], self.values[tok])
-            self.error(f"expected {what or repr(kind)}, found {found}", tok)
+            self.unexpected(what or repr(kind), tok)
         self.pos += 1
         return tok
+
+    def unexpected(self, what: str, tok: int) -> None:
+        self.pos = tok
+        self.error(f"expected {what}, found {_found(self.kinds[tok], self.values[tok])}", tok)
 
     def descend(self, tok: int) -> None:
         self.depth += 1
@@ -349,11 +349,20 @@ class _Parser:
         raise AssertionError("unreachable")
 
     def parse_relativization(self) -> Relativization:
-        open_tok = self.expect("{")
-        names = [self.values[self.expect("ident", "an individual")]]
-        while self.accept(",") is not None:
-            names.append(self.values[self.expect("ident", "an individual")])
-        self.expect("}")
+        kinds, values = self.kinds, self.values
+        open_tok = tok = self.pos  # at '{'
+        names = []
+        while True:
+            tok += 1
+            if kinds[tok] != "ident":
+                self.unexpected("an individual", tok)
+            names.append(values[tok])
+            tok += 1
+            if kinds[tok] != ",":
+                break
+        if kinds[tok] != "}":
+            self.unexpected("'}'", tok)
+        self.pos = tok + 1
         if len(names) > 2:
             self.error("a relativization names at most two individuals", open_tok)
         if len(names) == 2 and names[0] == names[1]:
@@ -361,14 +370,23 @@ class _Parser:
         return Relativization(*names)
 
     def parse_deontic(self, rel: Relativization) -> Formula:
-        op = self.kinds[self.pos]
-        self.pos += 1
-        self.expect("(")
-        action = self.parse_action(trigger=False)
-        self.expect(")")
+        kinds = self.kinds
+        tok = self.pos
+        op = kinds[tok]
+        if kinds[tok + 1] != "(":
+            self.unexpected("'('", tok + 1)
+        if kinds[tok + 2] == "ident" and kinds[tok + 3] == ")":
+            # A lone action name, the usual case, needs no climb.
+            action: ActionExpr = Atom(self.values[tok + 2])
+            self.pos = tok + 4
+        else:
+            self.pos = tok + 2
+            action = self.parse_action(trigger=False)
+            self.expect(")")
         reparation: Formula | None = None
-        rep_tok = self.accept("_/")
-        if rep_tok is not None:
+        rep_tok = self.pos
+        if kinds[rep_tok] == "_/":
+            self.pos += 1
             reparation = self.nested(rep_tok, self.parse_formula)
             self.expect("/_", "'/_' closing the reparation")
         if op == "O":

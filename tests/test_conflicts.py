@@ -425,3 +425,60 @@ def test_a_clash_through_a_declared_pair_is_not_decided_early(header, clauses):
     spec = parse_or_raise(header + clauses)
     assert clash_free_tag_count(spec) is None
     assert check(spec).has_conflicts
+
+
+def exposed_tags_by_equality(formula):
+    """``exposed_tags`` as it was when its walk kept a set of formulas,
+    visiting each body or reparation once per structural value."""
+    from rclcheck.decompose import _OPS, _tag, rewrite_compound
+    from rclcheck.formula import And, Dynamic, XChoice
+
+    seen, stack = set(), [formula]
+    while stack:
+        f = stack.pop()
+        kind = type(f)
+        if kind is And or kind is XChoice:
+            stack += f.children
+            continue
+        if kind is Dynamic:
+            later = f.body
+        elif kind in _OPS:
+            tag = _tag(f)
+            if tag is None:
+                stack.append(rewrite_compound(f))
+                continue
+            yield tag
+            later = None if kind is Permission else f.reparation
+        else:
+            continue
+        if later is not None and later not in seen:
+            seen.add(later)
+            stack.append(later)
+
+
+_ACTIONS = st.sampled_from(("a", "b", "a.b", "a&b", "a+b", "(a+b).a", "0", "1"))
+_TRIGGERS = st.sampled_from(("a", "a*", "a.b*", "(a+b)*", "a*.b", "!a", "1*", "(a&b)*"))
+_LEAVES = st.sampled_from(("O(a)", "{i}P(b)", "F(a.b)", "{i,j}O(a+b)", "[b*](P(a))", "true"))
+
+
+@st.composite
+def deep_contracts(draw, levels=20):
+    """Reparation chains and iterated triggers nested ``levels`` deep."""
+    text = draw(_LEAVES)
+    for _ in range(levels):
+        text = draw(st.sampled_from((
+            f"{{j}}O({draw(_ACTIONS)}) _/{text}/_",
+            f"F({draw(_ACTIONS)}) _/{text}/_",
+            f"[{draw(_TRIGGERS)}]({text})",
+            f"({text}) ^ {draw(_LEAVES)}",
+        )))
+    return parse_or_raise(text + ";")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(specs(pairs=True), deep_contracts()))
+def test_exposed_tags_dedupe_by_identity_as_by_equality(spec):
+    root = spec.root()
+    tags = list(itertools.islice(exposed_tags(root), 100_000))
+    assert len(tags) < 100_000
+    assert set(tags) == set(exposed_tags_by_equality(root))

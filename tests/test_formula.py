@@ -11,6 +11,7 @@ from rclcheck import (
     And,
     Atom,
     Choice,
+    Concurrent,
     ConflictRelations,
     ContractSpec,
     Dynamic,
@@ -21,18 +22,21 @@ from rclcheck import (
     Prohibition,
     Relativization,
     Sequence,
+    Star,
     XChoice,
     canonicalize,
     conj,
     directed,
     extract_alphabet,
+    parse,
     performer,
     xchoice,
 )
 from rclcheck.formula import join
 from rclcheck.generator import generate
 
-from strategies import canonical_formulas, relativizations, rename_symbols
+from strategies import (canonical_formulas, mutated_contracts, relativizations, rename_symbols,
+                        specs)
 
 A, B, C = Atom("a"), Atom("b"), Atom("c")
 IJ = directed("i", "j")
@@ -242,3 +246,49 @@ def test_conflict_relations_symmetry_and_partners():
     assert rels.relativized_conflicting("c", "b")
     assert not rels.globally_conflicting("a", "c")
     assert rels.actions() == {"a", "b", "c"}
+
+
+def action_atoms(expr):
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Atom):
+            yield e.name
+        elif isinstance(e, (Concurrent, Sequence, Choice)):
+            stack.append(e.left)
+            stack.append(e.right)
+        elif isinstance(e, (Negation, Star)):
+            stack.append(e.inner)
+
+
+def extract_alphabet_by_isinstance(clauses):
+    """``extract_alphabet`` as it was: an ``isinstance`` walk that reads
+    individuals through ``Relativization.individuals`` and actions through
+    an ``action_atoms`` generator per action."""
+    from rclcheck.formula import Bottom, Top
+
+    individuals, actions, stack = set(), set(), list(clauses)
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (Top, Bottom)):
+            continue
+        if isinstance(f, (And, XChoice)):
+            stack.extend(f.children)
+            continue
+        individuals.update(f.rel.individuals())
+        if isinstance(f, Dynamic):
+            actions.update(action_atoms(f.trigger))
+            stack.append(f.body)
+        else:
+            actions.update(action_atoms(f.action))
+            if not isinstance(f, Permission) and f.reparation is not None:
+                stack.append(f.reparation)
+    return frozenset(individuals), frozenset(actions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(specs(pairs=True).map(lambda spec: spec.clauses),
+                 mutated_contracts().map(parse)
+                 .filter(lambda result: result.ok).map(lambda result: result.spec.clauses)))
+def test_extract_alphabet_matches_the_isinstance_walk(clauses):
+    assert extract_alphabet(clauses) == extract_alphabet_by_isinstance(clauses)

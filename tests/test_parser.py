@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -232,3 +233,62 @@ def test_self_directed_relativization_warns_but_parses():
 def test_parse_or_raise():
     with pytest.raises(RclSyntaxError):
         parse_or_raise("O(a")
+
+
+# Every diagnostic of these inputs, as ``str(d)``, is pinned in
+# tests/data/diagnostics.txt, one ``name: diagnostic`` line each.
+DIAGNOSTIC_INPUTS = {
+    "dollar": "O(a) $ P(b);",
+    "micro": "O(µ);",
+    "accented-identifier": "O(café) ^ P(b²);",
+    "lone-underscore": "O(a) _ P(b);",
+    "lone-slash": "O(a) / P(b);",
+    "lone-two": "O(2);",
+    "unknowns-in-a-row": "$$ O(a) @\n#;",
+    "unknown-at-end": "O(a);\n~",
+    "comment-before-warning": "// a note\n{i,i}O(a);",
+    "comment-after-clause": "O(a); // {j,j} in a comment is no token $\n  {i,i}O(b);",
+    "tabs": "O(a);\n\t{j,j}P(b)\t$;",
+    "crlf": "O(a);\r\nP(b);\r\n  {k,k}F(c) $;\r\n",
+    "error-after-warning": "{i,i}O(a) ^ P(;",
+    "warning-after-error": "O(;\n{i,i}O(a);",
+    "warning-in-reparation": "O(a) _/{k,k}F(b)/_;",
+    "two-warnings": "{i1,i1}[a1]({i1,i1}P(a2) (+) {i1}P(a2));{i2}F(a2.a1&a2);",
+    "too-many-individuals": "{i,i,i}O(a);",
+    "header-errors": "conflict { global { (a, 1) }; relativized {}; relativized {}; };\nO(a);",
+    "end-of-input": "O(a);\nO(b)",
+    "no-clauses": "// nothing here\n",
+    "nested-formulas": "(" * 101 + "O(a)" + ")" * 101 + ";",
+    "nested-reparations": "O(a) _/" * 101 + "O(b)" + "/_" * 101 + ";",
+    "long-action-chain": "O(" + "+".join(["a"] * 102) + ");",
+    "stars": "[" + "a" + "*" * 101 + "](O(b));\nO(c*);",
+}
+
+
+def pinned_diagnostics() -> str:
+    return "".join(f"{name}: {d}\n" for name, text in DIAGNOSTIC_INPUTS.items()
+                   for d in parse(text).diagnostics)
+
+
+def test_diagnostics_match_the_pinned_file():
+    pinned = (Path(__file__).parent / "data" / "diagnostics.txt").read_text(encoding="utf-8")
+    assert pinned_diagnostics() == pinned
+
+
+def test_a_parse_adds_no_parser_attribute():
+    # On CPython 3.11, the first write to an instance's ``__dict__`` after
+    # ``__init__`` slows every later attribute read on it: a parse that
+    # filled a ``cached_property`` at its first warning took 126.5 µs
+    # against 81.0 µs with the warning stubbed out, and 67 µs once the
+    # offsets were a plain attribute set in ``__init__``.
+    from functools import cached_property
+
+    from rclcheck.parser import _ParseAbort, _Parser
+
+    assert not any(isinstance(v, cached_property) for v in vars(_Parser).values())
+    parser = _Parser("{i,i}O(a) ^ P(;", [])
+    before = set(vars(parser))
+    with pytest.raises(_ParseAbort):
+        parser.parse_clause()
+    assert [d.severity for d in parser.diagnostics] == ["warning", "error"]
+    assert set(vars(parser)) == before
