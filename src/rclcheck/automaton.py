@@ -87,7 +87,6 @@ class ContractAutomaton:
 
     formulas: tuple[Formula, ...]
     transitions: tuple[Transition, ...]
-    individuals: frozenset[Individual]
     violation: int | None = None
     conflict_states: frozenset[int] = frozenset()
 
@@ -348,7 +347,7 @@ def construct(
     violation: int | None = None
 
     def snapshot() -> ContractAutomaton:
-        return ContractAutomaton(tuple(formulas), tuple(transitions), individuals, violation)
+        return ContractAutomaton(tuple(formulas), tuple(transitions), violation)
 
     def exhausted(limit: str) -> BudgetExceeded:
         reason = (f"{limit} exhausted after {len(formulas)} states"

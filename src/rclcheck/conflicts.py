@@ -238,7 +238,7 @@ def run_check(spec: ContractSpec, options: BuildOptions = BuildOptions()) -> Che
     tags = clash_free_tag_count(spec)
     if tags is None:
         return build_check(spec, options)
-    automaton = ContractAutomaton((), (), spec.effective_individuals)
+    automaton = ContractAutomaton((), ())
     reason = f"decided before building the automaton: no two of its {tags} deontic tags can clash"
     return CheckOutcome(Verdict(VerdictKind.CONFLICT_FREE, reason=reason), automaton)
 

@@ -160,9 +160,8 @@ def rewrite_compound(formula: Formula, _seen: frozenset = frozenset()) -> Formul
                 rw(Dynamic(rel, act.left, Obligation(rel, act.right, rep)), _seen),
             )
         if isinstance(act, Choice):
-            left = rw(Obligation(rel, act.left, rep), _seen)
-            right = rw(Obligation(rel, act.right, rep), _seen)
-            return xchoice(conj(left, right), left, right)
+            return xchoice(rw(Obligation(rel, act.left, rep), _seen),
+                           rw(Obligation(rel, act.right, rep), _seen))
         raise ValueError(f"illegal action under an obligation: {act!r}")
     if isinstance(formula, Prohibition):
         rel, act, rep = formula.rel, formula.action, formula.reparation

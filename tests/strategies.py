@@ -3,6 +3,7 @@ and the symbol renamings the invariance tests apply."""
 from __future__ import annotations
 
 import re
+from functools import reduce
 from typing import Iterator, Mapping
 
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from rclcheck import (
     Formula,
     GroupKind,
     Negation,
+    Obligation,
     OneAction,
     Permission,
     Relativization,
@@ -145,6 +147,24 @@ def specs(draw, individuals=(1, 3), actions=(1, 3), clauses=(1, 3), max_depth=3,
     conflicts = ConflictRelations(spec.conflicts.global_pairs | draw(pair_sets),
                                   spec.conflicts.relativized_pairs | draw(pair_sets))
     return ContractSpec.from_clauses(spec.clauses, conflicts)
+
+
+@st.composite
+def choice_obligation_specs(draw) -> ContractSpec:
+    """A generated contract with one more clause: an obligation over a
+    2-4-way choice of its actions, under a drawn relativization over its
+    individuals, perhaps with one of its clauses as reparation and perhaps
+    guarded by one of its actions."""
+    spec = draw(specs(pairs=True))
+    names = st.sampled_from(sorted(spec.actions) or ["a1"])
+    action = reduce(Choice, map(Atom, draw(st.lists(names, min_size=2, max_size=4))))
+    people = st.sampled_from(sorted(spec.individuals) or ["i1"])
+    rel = draw(st.one_of(st.just(GLOBAL), people.map(performer),
+                         st.builds(directed, people, people)))
+    clause = Obligation(rel, action, draw(st.sampled_from((None, *spec.clauses))))
+    if draw(st.booleans()):
+        clause = Dynamic(rel, Atom(draw(names)), clause)
+    return ContractSpec.from_clauses(spec.clauses + (clause,), spec.conflicts)
 
 
 TOKENS = sorted({"conflict", "global", "relativized", "O", "P", "F", "true", "false",

@@ -131,6 +131,29 @@ def test_budget_exhaustion_exits_three(capsys):
     assert "inconclusive" in out.lower()
 
 
+CHAIN = "O(" + "+".join(f"a{k}" for k in range(60)) + ");"
+
+
+@pytest.mark.parametrize("text, code, first_line", [
+    (CHAIN + " [b]F(a0);", 3,
+     "Verification inconclusive: transition budget of 50 exhausted after 4 states"
+     " and 50 transitions"),
+    (CHAIN, 0, "No conflict detected."),
+], ids=["built", "decided-early"])
+def test_a_long_choice_chain_is_checked_within_its_budget(tmp_path, text, code, first_line):
+    # An obligation over 60 alternatives prepares to 60 leaves; in a child
+    # process, so that a normal form that grew with 2^60 fails on the timeout.
+    path = tmp_path / "chain.rcl"
+    path.write_text(text + "\n")
+    src = str(REPO_ROOT / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "rclcheck.cli", str(path), "--budget", "50"],
+                          env=env, capture_output=True, text=True, timeout=20)
+    assert done.returncode == code, done.stderr
+    assert done.stdout.splitlines()[0] == first_line
+
+
 def test_bad_flag_exits_sixtyfour(capsys):
     code, _, err = run(capsys, "--nonsense")
     assert code == 64

@@ -7,10 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rclcheck.conflicts as conflicts
+import rclcheck.decompose
 from rclcheck import (
     Atom,
     BudgetExceeded,
     BuildOptions,
+    Choice,
     ConflictKind,
     ConflictRelations,
     DeonticGroup,
@@ -24,6 +26,7 @@ from rclcheck import (
     Relativization,
     VerdictKind,
     check,
+    conj,
     construct,
     directed,
     export_dot,
@@ -34,13 +37,14 @@ from rclcheck import (
     run_check,
     search_conflicts,
     tags_conflict,
+    xchoice,
 )
 from rclcheck.conflicts import build_check, clash_free_tag_count, render_tag
-from rclcheck.decompose import deontic_tags, exposed_tags, prepare
+from rclcheck.decompose import deontic_tags, exposed_tags, prepare, rewrite_compound
 from rclcheck.generator import generate
 
 from dot_grammar import validate_dot
-from strategies import rename_spec, specs
+from strategies import choice_obligation_specs, rename_spec, specs
 
 NO_PREDEF = ConflictRelations()
 
@@ -482,3 +486,37 @@ def test_exposed_tags_dedupe_by_identity_as_by_equality(spec):
     tags = list(itertools.islice(exposed_tags(root), 100_000))
     assert len(tags) < 100_000
     assert set(tags) == set(exposed_tags_by_equality(root))
+
+
+def rewrite_with_both_branch(formula, _seen=frozenset()):
+    """``rewrite_compound`` as it was when an obligation over a choice also
+    kept a branch for both alternatives:
+    ``O(a+b) -> (O(a) ^ O(b)) (+) O(a) (+) O(b)``.  Patched in as
+    ``decompose.rewrite_compound``, it also takes the rewrite's recursion."""
+    if isinstance(formula, Obligation) and isinstance(formula.action, Choice):
+        rel, act, rep = formula.rel, formula.action, formula.reparation
+        left = rewrite_with_both_branch(Obligation(rel, act.left, rep), _seen)
+        right = rewrite_with_both_branch(Obligation(rel, act.right, rep), _seen)
+        return xchoice(conj(left, right), left, right)
+    return rewrite_compound(formula, _seen)
+
+
+def complete_reading(spec):
+    """What a complete check decides and builds, state formulas left out."""
+    options = BuildOptions(complete=True)
+    outcome = build_check(spec, options)
+    automaton = outcome.automaton
+    return (run_check(spec, options).verdict, outcome.verdict, automaton.n_states,
+            automaton.transitions, automaton.violation, automaton.conflict_states,
+            [deontic_tags(f) for f in automaton.formulas])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(specs(pairs=True), choice_obligation_specs()))
+def test_the_both_branch_of_an_obligation_over_a_choice_changes_nothing(spec):
+    # Clause choice is read inclusively, so the branch where both
+    # alternatives hold adds no tag and never decides the choice.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rclcheck.decompose, "rewrite_compound", rewrite_with_both_branch)
+        before = complete_reading(spec)
+    assert complete_reading(spec) == before

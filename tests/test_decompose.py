@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -68,7 +69,14 @@ def test_rewrite_obligation_choice_builds_clause_choice():
     out = canonicalize(rewrite_compound(Obligation(I, Choice(A, B), rep)))
     o_a = Obligation(I, A, rep)
     o_b = Obligation(I, B, rep)
-    assert out == canonicalize(xchoice(conj(o_a, o_b), o_a, o_b))
+    assert out == canonicalize(xchoice(o_a, o_b))
+
+
+def test_an_obligation_over_a_choice_chain_prepares_to_one_leaf_per_alternative():
+    alternatives = [Atom(f"a{k}") for k in range(8)]
+    out = prepare(Obligation(GLOBAL, reduce(Choice, alternatives)))
+    assert isinstance(out, XChoice)
+    assert sorted(out.children, key=repr) == [Obligation(GLOBAL, a) for a in alternatives]
 
 
 def test_rewrite_obligation_concurrent_and_sequence():
