@@ -8,7 +8,6 @@ for whom.
 """
 
 from .automaton import (
-    BudgetExceeded,
     BuildOptions,
     ContractAutomaton,
     SpecialLabel,

@@ -31,7 +31,7 @@ from .decompose import (
     deontic_tags,
     prepare,
 )
-from .formula import ActionName, And, Bottom, ContractSpec, Formula, Individual, Top, join
+from .formula import BOTTOM, ActionName, And, Bottom, ContractSpec, Formula, Individual, Top, join
 
 
 class SpecialLabel(Enum):
@@ -82,26 +82,20 @@ class BuildOptions:
 @dataclass(frozen=True)
 class ContractAutomaton:
     """State s is the residual ``formulas[s]``, and state 0 is the initial
-    one.  ``conflict_states`` holds what a check found; ``construct``
-    leaves it empty."""
+    one.  ``violation`` is the ``false`` state, if the build reached it.
+    ``exhausted`` says which budget stopped the build and how far it got,
+    or is empty.  ``conflict_states`` holds what a check found;
+    ``construct`` leaves it empty."""
 
     formulas: tuple[Formula, ...]
     transitions: tuple[Transition, ...]
     violation: int | None = None
     conflict_states: frozenset[int] = frozenset()
+    exhausted: str = ""
 
     @property
     def n_states(self) -> int:
         return len(self.formulas)
-
-
-class BudgetExceeded(Exception):
-    """Construction ran out of budget; carries the partial automaton."""
-
-    def __init__(self, reason: str, automaton: ContractAutomaton):
-        super().__init__(reason)
-        self.reason = reason
-        self.automaton = automaton
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +321,11 @@ def construct(
     prepared once per construction.  Every action of a step is checked
     against the alphabet the first time a step holds it.
     ``on_state`` runs on every state with its deontic groups, before its
-    successors are explored; returning True halts the construction there:
-    the automaton built so far is returned.  States are labelled only for
-    ``on_state``.  Raises ``BudgetExceeded`` (with the partial automaton
-    attached) where a budget runs out.
+    successors are explored; returning True halts the construction there.
+    States are labelled only for ``on_state``.  The automaton built so far
+    is returned whether the build finished, halted or ran out of a budget,
+    which ``exhausted`` then names; every state but the first is entered
+    by a transition.
     """
     individuals = spec.effective_individuals
     checked: set = set()  # actions of drawn steps, all inside the alphabet
@@ -344,73 +339,56 @@ def construct(
     formulas: list[Formula] = []
     transitions: list[Transition] = []
     state_ids: dict[Formula, int] = {}
-    violation: int | None = None
-
-    def snapshot() -> ContractAutomaton:
-        return ContractAutomaton(tuple(formulas), tuple(transitions), violation)
-
-    def exhausted(limit: str) -> BudgetExceeded:
-        reason = (f"{limit} exhausted after {len(formulas)} states"
-                  f" and {len(transitions)} transitions")
-        return BudgetExceeded(reason, snapshot())
-
-    def add_transition(source: int, label: Label, target: int) -> None:
-        if len(transitions) >= options.max_transitions:
-            raise exhausted(f"transition budget of {options.max_transitions}")
-        transitions.append(Transition(source, label, target))
-
     stack: list[tuple[int, Iterator[tuple]]] = []
 
-    def new_state(formula: Formula) -> int:
-        if len(formulas) >= options.max_states:
-            raise exhausted(f"state budget of {options.max_states}")
-        sid = len(formulas)
-        state_ids[formula] = sid
+    def visit(formula: Formula) -> bool:
+        # Add a state; True when the callback halts the build there.
+        # Satisfied and violated residuals get a self-loop, everything
+        # else its cubes, explored depth-first.
+        sid = state_ids[formula] = len(formulas)
         formulas.append(formula)
-        return sid
-
-    def visit(sid: int) -> bool:
-        # The callback runs first, and True means it halts the build;
-        # satisfied and violated residuals become self-looping sinks,
-        # everything else is expanded into cubes depth-first.
-        nonlocal violation
-        formula = formulas[sid]
         if on_state is not None and on_state(sid, formula, deontic_tags(formula)):
             return True
-        if isinstance(formula, Top):
-            add_transition(sid, SpecialLabel.TOP_LOOP, sid)
-        elif isinstance(formula, Bottom):
-            violation = sid
-            add_transition(sid, SpecialLabel.VIOLATION_LOOP, sid)
+        if isinstance(formula, (Top, Bottom)):
+            loop = SpecialLabel.TOP_LOOP if isinstance(formula, Top) else SpecialLabel.VIOLATION_LOOP
+            stack.append((sid, iter([(loop, formula, None)])))
         else:
             stack.append((sid, enumerate_action_sets(formula, individuals, options,
                                                      spec.actions, prepare_once)))
         return False
 
-    halted = visit(new_state(prepare(spec.root())))
-    while stack and not halted:
+    exhausted = ""
+    visit(prepare(spec.root()))  # a halt here pushes nothing
+    while stack:
         if deadline is not None and time.monotonic() > deadline:
-            raise exhausted(f"time limit of {options.time_limit}s")
-        sid, cubes = stack[-1]
-        item = next(cubes, None)
+            exhausted = f"time limit of {options.time_limit}s"
+            break
+        sid, successors = stack[-1]
+        item = next(successors, None)
         if item is None:
             stack.pop()
             continue
         step, residual, _ = item
-        if not step <= checked:
+        if type(step) is frozenset and not step <= checked:
             outside = sorted(a for a in step - checked if a[0] not in individuals
                              or a[1] not in spec.actions or a[2] not in individuals)
             if outside:
                 raise ValueError(f"step outside the alphabet: {outside!r}")
             checked |= step
         target = state_ids.get(residual)
-        if target is not None:
-            add_transition(sid, step, target)
-            continue
-        target = new_state(residual)
-        add_transition(sid, step, target)
-        halted = visit(target)
-    return snapshot()
+        if target is None and len(formulas) >= options.max_states:
+            exhausted = f"state budget of {options.max_states}"
+            break
+        if len(transitions) >= options.max_transitions:
+            exhausted = f"transition budget of {options.max_transitions}"
+            break
+        transitions.append(Transition(sid, step, len(formulas) if target is None else target))
+        if target is None and visit(residual):
+            break
+    if exhausted:
+        exhausted += f" exhausted after {len(formulas)} states and {len(transitions)} transitions"
+    return ContractAutomaton(tuple(formulas), tuple(transitions), state_ids.get(BOTTOM),
+                             exhausted=exhausted)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .automaton import (
-    BudgetExceeded,
     BuildOptions,
     ContractAutomaton,
     TraceStep,
@@ -260,21 +259,15 @@ def build_check(spec: ContractSpec, options: BuildOptions = BuildOptions()) -> C
             clashes[sid] = clash
         return clash is not None and not options.complete
 
-    exhausted: str | None = None
-    try:
-        automaton = construct(spec, options, on_state)
-    except BudgetExceeded as exc:
-        automaton = exc.automaton
-        exhausted = exc.reason
-    automaton = replace(automaton, conflict_states=frozenset(clashes))
+    automaton = replace(construct(spec, options, on_state), conflict_states=frozenset(clashes))
 
     reports = tuple(sorted(
         (ConflictReport(sid, kind, left, right, trace_to(automaton, sid),
                         render_tag(left), render_tag(right))
          for sid, (left, right, kind) in clashes.items()),
         key=lambda r: (len(r.trace), r.state)))
-    if exhausted is not None:
-        verdict = Verdict(VerdictKind.INCONCLUSIVE, reports, exhausted)
+    if automaton.exhausted:
+        verdict = Verdict(VerdictKind.INCONCLUSIVE, reports, automaton.exhausted)
     elif reports:
         verdict = Verdict(VerdictKind.CONFLICTS, reports)
     else:

@@ -15,7 +15,6 @@ from rclcheck import (
     ZERO,
     Atom,
     Bottom,
-    BudgetExceeded,
     BuildOptions,
     ContractSpec,
     Dynamic,
@@ -40,6 +39,7 @@ from rclcheck import (
     prepare,
     relativized_universe,
     relevant_universe,
+    run_check,
     trace_to,
 )
 from rclcheck.conflicts import build_check
@@ -48,7 +48,7 @@ from rclcheck.generator import generate
 
 from conftest import CONTRACTS
 from dot_grammar import validate_dot
-from strategies import action_set_count
+from strategies import action_set_count, specs
 
 
 def ra(s, a, r):
@@ -265,10 +265,7 @@ def check_cubes(formula, individuals, actions):
 def test_cubes_partition_the_satisfiable_valuations(n_individuals, clauses, seed):
     spec = generate(individuals=n_individuals, actions=2, clauses=clauses, max_depth=3, seed=seed)
     options = BuildOptions(complete=True, max_states=40, max_transitions=2_000)
-    try:
-        automaton = construct(spec, options)
-    except BudgetExceeded as exc:
-        automaton = exc.automaton
+    automaton = construct(spec, options)
     individuals = spec.effective_individuals
     for formula in automaton.formulas:
         # Keep the walk over every subset small.
@@ -358,9 +355,8 @@ def test_witnesses_are_drawn_lazily():
 def test_transition_budget_stops_a_state_with_many_valuations(text):
     # Every test of the root decides its residual: 2**30 and 2**21 cubes.
     spec, options = parse_or_raise(text), BuildOptions(max_transitions=1_000)
-    with pytest.raises(BudgetExceeded) as exc:
-        construct(spec, options)
-    assert exc.value.reason.startswith("transition budget of 1000 exhausted after ")
+    exhausted = construct(spec, options).exhausted
+    assert exhausted.startswith("transition budget of 1000 exhausted after ")
     assert check(spec, options).kind is VerdictKind.CONFLICT_FREE
 
 
@@ -368,9 +364,8 @@ def test_a_state_with_thousands_of_parts_is_checked_within_its_budget():
     # 1,100 performer rows, one per name, each a part of the root's steps.
     spec = parse_or_raise("".join(f"{{i}}[a{k}](O(b)); " for k in range(1_100)))
     options = BuildOptions(max_transitions=50)
-    with pytest.raises(BudgetExceeded) as exc:
-        construct(spec, options)
-    assert exc.value.reason.startswith("transition budget of 50 exhausted after ")
+    exhausted = construct(spec, options).exhausted
+    assert exhausted.startswith("transition budget of 50 exhausted after ")
     assert check(spec, options).kind is VerdictKind.CONFLICT_FREE
 
 
@@ -379,9 +374,9 @@ def test_labels_hold_one_action_per_performer_test():
     # 40,000 actions, but a step needs one action per true performer test.
     spec = parse_or_raise("".join(f"{{i{k}}}O(a{k}); " for k in range(200)))
     options = BuildOptions(max_transitions=50)
-    with pytest.raises(BudgetExceeded) as exc:
-        construct(spec, options)
-    labels = [t.label for t in exc.value.automaton.transitions if isinstance(t.label, frozenset)]
+    automaton = construct(spec, options)
+    assert automaton.exhausted
+    labels = [t.label for t in automaton.transitions if isinstance(t.label, frozenset)]
     assert max(map(len, labels)) <= 200
     assert check(spec, options).kind is VerdictKind.CONFLICT_FREE
 
@@ -530,19 +525,17 @@ def test_state_budget_is_reported_not_silently_truncated():
     spec = parse_or_raise(
         "{b,s}[buyProduct]({b,k}O(payProduct) ^ {b,k}[payProduct]({k,s}O(sendProduct)));"
     )
-    with pytest.raises(BudgetExceeded) as exc:
-        construct(spec, BuildOptions(max_states=2))
-    assert str(exc.value).startswith("state budget of 2 exhausted after 2 states and ")
-    assert exc.value.automaton.n_states == 2
+    automaton = construct(spec, BuildOptions(max_states=2))
+    assert automaton.exhausted.startswith("state budget of 2 exhausted after 2 states and ")
+    assert automaton.n_states == 2
 
 
 def test_transition_budget_is_reported():
     spec = generate(individuals=4, actions=4, clauses=3, max_depth=3, seed=3)
-    with pytest.raises(BudgetExceeded) as exc:
-        construct(spec, BuildOptions(max_transitions=10))
+    automaton = construct(spec, BuildOptions(max_transitions=10))
     # The reason says how far the run got.
-    states = exc.value.automaton.n_states
-    assert exc.value.reason == (
+    states = automaton.n_states
+    assert automaton.exhausted == (
         f"transition budget of 10 exhausted after {states} states and 10 transitions"
     )
 
@@ -568,6 +561,41 @@ def test_time_limit_is_reported():
     verdict = check(spec, BuildOptions(time_limit=1e-9))
     assert verdict.kind is VerdictKind.INCONCLUSIVE
     assert verdict.reason == "time limit of 1e-09s exhausted after 1 states and 0 transitions"
+
+
+def test_an_expired_deadline_stops_before_a_sink_loop():
+    # A satisfied state's self-loop is drawn like any other step, after the
+    # deadline check.  The pre-check decides this contract without a build.
+    spec, options = parse_or_raise("true;"), BuildOptions(time_limit=1e-9)
+    verdict = build_check(spec, options).verdict
+    assert verdict.reason == "time limit of 1e-09s exhausted after 1 states and 0 transitions"
+    assert run_check(spec, options).verdict.kind is VerdictKind.CONFLICT_FREE
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.one_of(specs(pairs=True), st.builds(
+           lambda n, clauses, seed: generate(individuals=n, actions=n, clauses=clauses,
+                                             max_depth=3, seed=seed),
+           st.sampled_from([2, 3]), st.integers(1, 3), st.integers(0, 10**6))),
+       budget=st.integers(1, 60), complete=st.booleans(), no_pruning=st.booleans())
+def test_a_budgeted_build_is_a_prefix_of_the_whole_one(spec, budget, complete, no_pruning):
+    no_pruning &= len(relativized_universe(spec.effective_individuals, spec.actions)) <= 8
+    options = BuildOptions(complete=complete, no_pruning=no_pruning)
+    whole = build_check(spec, options).automaton
+    assert not whole.exhausted
+    part = build_check(spec, BuildOptions(complete=complete, no_pruning=no_pruning,
+                                          max_states=budget, max_transitions=budget)).automaton
+    states, transitions = part.n_states, len(part.transitions)
+    assert part.formulas == whole.formulas[:states]
+    assert part.transitions == whole.transitions[:transitions]
+    # Empty exactly when the build finished or on_state halted it.
+    finished = (part.formulas, part.transitions) == (whole.formulas, whole.transitions)
+    assert bool(part.exhausted) is not finished
+    if part.exhausted:
+        assert part.exhausted.endswith(f"after {states} states and {transitions} transitions")
+    assert {t.target for t in part.transitions} >= set(range(1, states))
+    for sid in range(states):
+        assert trace_to(part, sid)[-1].state == sid
 
 
 # ---------------------------------------------------------------------------

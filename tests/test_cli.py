@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rclcheck import (BudgetExceeded, BuildOptions, construct, export_dot, parse_or_raise,
-                      run_check)
+from rclcheck import BuildOptions, construct, export_dot, parse_or_raise, run_check
 from rclcheck.cli import main
 
 from conftest import CONTRACTS, REPO_ROOT
@@ -190,6 +189,17 @@ def test_an_inconclusive_export_marks_every_reported_state_gray(capsys, tmp_path
     assert gray == {f"s{r.state}" for r in reports}
 
 
+def test_an_exhausted_export_draws_only_states_a_transition_enters(capsys, tmp_path):
+    # The budget runs out on a step to a new state, which is then not added.
+    dot_path = tmp_path / "out.dot"
+    argv = ["--complete", "--budget", "4", "-g", str(dot_path)]
+    code, out, _ = run(capsys, str(CONTRACTS / "sales-contract.rcl"), *argv)
+    assert code == 3
+    assert out == ("Verification inconclusive: transition budget of 4 exhausted"
+                   " after 2 states and 4 transitions\n")
+    assert len(validate_dot(dot_path.read_text())["nodes"]) == 2
+
+
 def test_dot_export_of_a_clean_run_has_no_gray_node(capsys, tmp_path):
     dot_path = tmp_path / "out.dot"
     code, _, _ = run(capsys, str(CONTRACTS / "sales-contract-amended.rcl"), "-g", str(dot_path))
@@ -213,10 +223,7 @@ def test_a_decided_check_exports_the_built_automaton(capsys, tmp_path, argv, opt
     code, out, _ = run(capsys, str(path), "-g", str(dot_path), *argv)
     assert code == 0
     assert out == "No conflict detected.\n"
-    try:
-        automaton = construct(parse_or_raise(NO_CLASH), options)
-    except BudgetExceeded as exc:
-        automaton = exc.automaton
+    automaton = construct(parse_or_raise(NO_CLASH), options)
     assert dot_path.read_text() == export_dot(automaton)
     assert len(validate_dot(dot_path.read_text())["nodes"]) >= 2
 
@@ -399,6 +406,20 @@ def test_bench_csv_output(capsys):
         assert row["verdict"] in ("conflict-free", "conflicts", "inconclusive")
         assert row["finished"] in ("True", "False")
         assert (row["finished"] == "False") == (row["verdict"] == "inconclusive")
+
+
+def test_bench_takes_a_time_limit(capsys):
+    code, out, _ = run(capsys, "bench", "--individuals", "2", "--actions", "2",
+                       "--runs", "2", "--time-limit", "30")
+    assert code == 0
+    assert len(list(csv.DictReader(io.StringIO(out)))) == 2
+
+
+def test_bench_rejects_a_time_limit_that_is_not_a_number(capsys):
+    code, _, err = run(capsys, "bench", "--individuals", "2", "--actions", "2",
+                       "--time-limit", "soon")
+    assert code == 64
+    assert "not a number: 'soon'" in err
 
 
 # ---------------------------------------------------------------------------
