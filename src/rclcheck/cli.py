@@ -120,7 +120,8 @@ def _print_report(report: ConflictReport, outcome: CheckOutcome, verbose: bool) 
 
 def _run_check(args: argparse.Namespace) -> int:
     try:
-        with open(args.input, "r", encoding="utf-8") as handle:
+        # ``utf-8-sig`` drops the byte-order mark that some editors write.
+        with open(args.input, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"

@@ -110,16 +110,29 @@ class DeonticGroup(NamedTuple):
 # Compound-action rewriting
 
 
+_UNDER = {Obligation: "an obligation", Permission: "a permission", Prohibition: "a prohibition"}
+
+
 def rewrite_compound(formula: Formula, _seen: frozenset = frozenset()) -> Formula:
     """Reduce compound actions at the top level of a formula.
 
-    Obligations and permissions over concurrency split into conjunctions,
-    sequences leave a guarded residual behind the head action, and choice
-    under an obligation becomes a clause choice over the alternatives.
-    Iterated triggers are unfolded one step; ``_seen`` keeps nested
-    iterations from re-exposing a formula already unfolded at this level.
-    Dynamic bodies and reparations are left untouched; they are rewritten
-    once a step exposes them.
+    ``X(α)`` is any of ``O(α)``, ``P(α)`` and ``F(α)``, each with its
+    reparation, and the trigger ``[α]C``.  ``R`` is the reparation, or
+    ``false`` when there is none.
+
+    - ``X(α&β)`` and ``X(α+β)`` become ``X(α) ^ X(β)``, except that
+      ``O(α+β)`` becomes the clause choice ``O(α) (+) O(β)``.
+    - ``F(α.β)`` and ``[α.β]C`` are guards and become ``[α]X(β)``: a
+      forbidden sequence breaches only once it is complete.  ``O(α.β)``
+      and ``P(α.β)`` also keep their head: ``X(α) ^ [α]X(β)``.
+    - ``O(0)`` becomes ``[!0]R``, breached by every step, and ``O(1)``
+      becomes ``[!1]R``, breached by the empty step.  ``P(0)``, ``P(1)``
+      and ``F(0)`` become ``true``, and ``F(1)`` becomes ``[1]R``.
+    - ``[α*]C`` unfolds once, to ``C ^ [α][α*]C``.  ``_seen`` keeps nested
+      iterations from re-exposing a formula already unfolded here.
+    - ``X(a)``, ``[0]C``, ``[1]C`` and ``[!a]C`` stay, for ``a`` a basic
+      action (and ``0`` or ``1`` after ``!``).  Bodies and reparations
+      are rewritten only once a step exposes them.
     """
     rw = rewrite_compound
     if isinstance(formula, (Top, Bottom)):
@@ -128,80 +141,46 @@ def rewrite_compound(formula: Formula, _seen: frozenset = frozenset()) -> Formul
         return conj(*(rw(c, _seen) for c in formula.children))
     if isinstance(formula, XChoice):
         return xchoice(*(rw(c, _seen) for c in formula.children))
-    if isinstance(formula, Permission):
-        rel, act = formula.rel, formula.action
-        if isinstance(act, Atom):
+    # Every operator is built as ``kind(rel, action, *rest)``.
+    kind = type(formula)
+    if kind is Dynamic:
+        act, rest = formula.trigger, (formula.body,)
+    elif kind is Permission:
+        act, rest = formula.action, ()
+    elif kind is Obligation or kind is Prohibition:
+        act, rest = formula.action, (formula.reparation,)
+    else:
+        raise TypeError(f"not a formula: {formula!r}")
+    if isinstance(act, Atom):
+        return formula
+    rel = formula.rel
+    if isinstance(act, (Concurrent, Choice)):
+        parts = rw(kind(rel, act.left, *rest), _seen), rw(kind(rel, act.right, *rest), _seen)
+        return xchoice(*parts) if kind is Obligation and isinstance(act, Choice) else conj(*parts)
+    if isinstance(act, Sequence):
+        tail = Dynamic(rel, act.left, kind(rel, act.right, *rest))
+        if kind is Dynamic or kind is Prohibition:
+            return rw(tail, _seen)
+        return conj(rw(kind(rel, act.left, *rest), _seen), rw(tail, _seen))
+    if isinstance(act, (ZeroAction, OneAction)):
+        if kind is Dynamic:
             return formula
-        if isinstance(act, (ZeroAction, OneAction)):
+        if kind is Permission or (kind is Prohibition and isinstance(act, ZeroAction)):
             return TOP
-        if isinstance(act, (Concurrent, Choice)):
-            return conj(rw(Permission(rel, act.left), _seen),
-                        rw(Permission(rel, act.right), _seen))
-        if isinstance(act, Sequence):
-            return conj(
-                rw(Permission(rel, act.left), _seen),
-                rw(Dynamic(rel, act.left, Permission(rel, act.right)), _seen),
-            )
-        raise ValueError(f"illegal action under a permission: {act!r}")
-    if isinstance(formula, Obligation):
-        rel, act, rep = formula.rel, formula.action, formula.reparation
-        if isinstance(act, Atom):
-            return formula
-        if isinstance(act, (ZeroAction, OneAction)):
-            # The impossible action breaches on every step; the wildcard is
-            # discharged by any nonempty step and breached by the empty one.
-            return Dynamic(rel, Negation(act), rep if rep is not None else BOTTOM)
-        if isinstance(act, Concurrent):
-            return conj(rw(Obligation(rel, act.left, rep), _seen),
-                        rw(Obligation(rel, act.right, rep), _seen))
-        if isinstance(act, Sequence):
-            return conj(
-                rw(Obligation(rel, act.left, rep), _seen),
-                rw(Dynamic(rel, act.left, Obligation(rel, act.right, rep)), _seen),
-            )
-        if isinstance(act, Choice):
-            return xchoice(rw(Obligation(rel, act.left, rep), _seen),
-                           rw(Obligation(rel, act.right, rep), _seen))
-        raise ValueError(f"illegal action under an obligation: {act!r}")
-    if isinstance(formula, Prohibition):
-        rel, act, rep = formula.rel, formula.action, formula.reparation
-        if isinstance(act, Atom):
-            return formula
-        if isinstance(act, ZeroAction):
+        rep = BOTTOM if rest[0] is None else rest[0]
+        return Dynamic(rel, Negation(act) if kind is Obligation else act, rep)
+    if kind is not Dynamic:
+        raise ValueError(f"illegal action under {_UNDER[kind]}: {act!r}")
+    if isinstance(act, Negation):
+        if not isinstance(act.inner, (Atom, ZeroAction, OneAction)):
+            raise ValueError("negation applies to a single action")
+        return formula
+    if isinstance(act, Star):
+        if formula in _seen:
             return TOP
-        if isinstance(act, OneAction):
-            return Dynamic(rel, act, rep if rep is not None else BOTTOM)
-        if isinstance(act, (Concurrent, Choice)):
-            return conj(rw(Prohibition(rel, act.left, rep), _seen),
-                        rw(Prohibition(rel, act.right, rep), _seen))
-        if isinstance(act, Sequence):
-            # Violated only if the whole sequence happens: forbid the tail
-            # once the head has been performed.
-            return rw(Dynamic(rel, act.left, Prohibition(rel, act.right, rep)), _seen)
-        raise ValueError(f"illegal action under a prohibition: {act!r}")
-    if isinstance(formula, Dynamic):
-        rel, trig, body = formula.rel, formula.trigger, formula.body
-        if isinstance(trig, (Atom, ZeroAction, OneAction)):
-            return formula
-        if isinstance(trig, Negation):
-            if not isinstance(trig.inner, (Atom, ZeroAction, OneAction)):
-                raise ValueError("negation applies to a single action")
-            return formula
-        if isinstance(trig, Star):
-            if formula in _seen:
-                return TOP
-            seen = _seen | {formula}
-            return conj(
-                rw(body, seen),
-                rw(Dynamic(rel, trig.inner, formula), seen),
-            )
-        if isinstance(trig, (Concurrent, Choice)):
-            return conj(rw(Dynamic(rel, trig.left, body), _seen),
-                        rw(Dynamic(rel, trig.right, body), _seen))
-        if isinstance(trig, Sequence):
-            return rw(Dynamic(rel, trig.left, Dynamic(rel, trig.right, body)), _seen)
-        raise ValueError(f"illegal trigger: {trig!r}")
-    raise TypeError(f"not a formula: {formula!r}")
+        seen = _seen | {formula}
+        return conj(rw(formula.body, seen), rw(Dynamic(rel, act.inner, formula), seen))
+    raise ValueError(f"illegal trigger: {act!r}")
 
 
 def prepare(formula: Formula) -> Formula:

@@ -13,8 +13,8 @@ clauses, each terminated by ``;``::
 Operators: ``^`` conjunction, ``(+)`` clause choice, ``&`` concurrency,
 ``.`` sequence, ``+`` action choice, ``!a`` negation and ``b*`` iteration
 (triggers only), ``0``/``1`` special actions, ``_/ ... /_`` reparation,
-``{i}``/``{i,j}`` relativizations, ``//`` line comments.  Whitespace is
-insignificant outside identifiers.
+``{i}``/``{i,j}`` relativizations, ``//`` line comments.  Space, tab, CR
+and LF separate tokens and are skipped; other whitespace is an unknown token.
 """
 from __future__ import annotations
 

@@ -16,6 +16,7 @@ from rclcheck import (
     Atom,
     Bottom,
     BuildOptions,
+    ContractAutomaton,
     ContractSpec,
     Dynamic,
     Negation,
@@ -629,6 +630,11 @@ def test_trace_to_unreachable_state_raises():
     automaton = construct(spec)
     with pytest.raises(ValueError):
         trace_to(automaton, 99)
+    # ``construct`` leaves no state that no transition enters, so this
+    # automaton is built by hand.
+    automaton = ContractAutomaton((TOP, BOTTOM), ())
+    with pytest.raises(ValueError, match="^state s1 is unreachable from s0$"):
+        trace_to(automaton, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -71,22 +71,31 @@ def test_reports_do_not_depend_on_the_hash_seed():
     assert outputs[0] == outputs[1]
 
 
-# sha256 of the DOT that ``-g FILE -v`` writes for the sales contract.
-SALES_COMPLETE_DOT_SHA256 = "b08bdae86d12b352b5940944eb407faa246c487ef79bb5afc807eb07188c87b6"
+# Each contract's pinned ``--complete -v`` output, and the sha256 of the DOT
+# that ``-g FILE`` then writes.
+COMPLETE_VERBOSE_PINS = {
+    "sales-contract": ("sales-complete-verbose.txt",
+                       "b08bdae86d12b352b5940944eb407faa246c487ef79bb5afc807eb07188c87b6"),
+    "simple-example": ("simple-complete-verbose.txt",
+                       "0bd0415bce80f957b2fe45137622335492b1d962b44496608cd61d55fe6cd9c6"),
+}
 
 
-def test_sales_complete_verbose_output_is_pinned(capsys, tmp_path):
+@pytest.mark.parametrize("contract", list(COMPLETE_VERBOSE_PINS))
+def test_complete_verbose_output_is_pinned(capsys, tmp_path, contract):
     # Canonical child order decides state numbering and every rendered
-    # state, so a change to how formulas order shows here byte for byte.
-    golden = (REPO_ROOT / "tests" / "data" / "sales-complete-verbose.txt").read_text()
-    code, out, _ = run(capsys, str(CONTRACTS / "sales-contract.rcl"), "--complete", "-v")
+    # state, so a change to how formulas order or compounds rewrite shows
+    # here byte for byte.
+    golden_name, dot_sha256 = COMPLETE_VERBOSE_PINS[contract]
+    golden = (REPO_ROOT / "tests" / "data" / golden_name).read_text()
+    path = str(CONTRACTS / f"{contract}.rcl")
+    code, out, _ = run(capsys, path, "--complete", "-v")
     assert code == 1
     assert out == golden
-    dot_path = tmp_path / "sales.dot"
-    code, _, _ = run(capsys, str(CONTRACTS / "sales-contract.rcl"), "--complete", "-v",
-                     "-g", str(dot_path))
+    dot_path = tmp_path / f"{contract}.dot"
+    code, _, _ = run(capsys, path, "--complete", "-v", "-g", str(dot_path))
     assert code == 1
-    assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == SALES_COMPLETE_DOT_SHA256
+    assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == dot_sha256
 
 
 def test_verbose_report_appends_formulas_and_labels(capsys):
@@ -122,6 +131,22 @@ def test_non_utf8_contract_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == f"error: cannot read {path}: not UTF-8 text\n"
+
+
+def test_a_byte_order_mark_is_not_part_of_the_contract(capsys, tmp_path):
+    path = tmp_path / "bom.rcl"
+    path.write_bytes(b"\xef\xbb\xbfO(a);\n")
+    code, out, err = run(capsys, str(path))
+    assert code == 0
+    assert out == "No conflict detected.\n"
+    assert err == ""
+    # Columns on the first line count from the first character after the mark.
+    path.write_bytes(b"\xef\xbb\xbfO(a) $ P(b);\n")
+    code, out, err = run(capsys, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (f"{path}:1:6: error: unknown token '$'\n"
+                   f"{path}:1:8: error: expected ';' after a clause, found 'P'\n")
 
 
 def test_budget_exhaustion_exits_three(capsys):

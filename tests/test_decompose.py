@@ -40,7 +40,7 @@ from rclcheck import (
     rewrite_compound,
     xchoice,
 )
-from rclcheck.decompose import decompose
+from rclcheck.decompose import decompose, trigger_matched
 from rclcheck.generator import generate
 
 from strategies import group_values, specs, tag_values
@@ -130,6 +130,70 @@ def test_rewrite_terminates_on_nested_iteration():
     assert out is not None
     chained = Dynamic(I, Star(Choice(A, Star(B))), Permission(GLOBAL, C))
     assert prepare(chained) is not None
+
+
+REP = Permission(I, C)
+BODY = Obligation(I, C)
+STAR_A = Dynamic(I, Star(A), BODY)
+STAR_AB = Dynamic(I, Star(Sequence(A, B)), BODY)
+
+
+@pytest.mark.parametrize("formula, expected", [
+    (Obligation(I, Concurrent(A, B)), And((Obligation(I, A), Obligation(I, B)))),
+    (Obligation(I, Choice(A, B)), XChoice((Obligation(I, A), Obligation(I, B)))),
+    (Obligation(I, Sequence(A, B)), And((Obligation(I, A), Dynamic(I, A, Obligation(I, B))))),
+    (Obligation(I, ZERO), Dynamic(I, Negation(ZERO), BOTTOM)),
+    (Obligation(I, ONE), Dynamic(I, Negation(ONE), BOTTOM)),
+    (Obligation(I, Concurrent(A, B), REP), And((Obligation(I, A, REP), Obligation(I, B, REP)))),
+    (Obligation(I, Choice(A, B), REP), XChoice((Obligation(I, A, REP), Obligation(I, B, REP)))),
+    (Obligation(I, Sequence(A, B), REP),
+     And((Obligation(I, A, REP), Dynamic(I, A, Obligation(I, B, REP))))),
+    (Obligation(I, ZERO, REP), Dynamic(I, Negation(ZERO), REP)),
+    (Obligation(I, ONE, REP), Dynamic(I, Negation(ONE), REP)),
+    (Permission(I, Concurrent(A, B)), And((Permission(I, A), Permission(I, B)))),
+    (Permission(I, Choice(A, B)), And((Permission(I, A), Permission(I, B)))),
+    (Permission(I, Sequence(A, B)), And((Permission(I, A), Dynamic(I, A, Permission(I, B))))),
+    (Permission(I, ZERO), TOP),
+    (Permission(I, ONE), TOP),
+    (Prohibition(I, Concurrent(A, B)), And((Prohibition(I, A), Prohibition(I, B)))),
+    (Prohibition(I, Choice(A, B)), And((Prohibition(I, A), Prohibition(I, B)))),
+    (Prohibition(I, Sequence(A, B)), Dynamic(I, A, Prohibition(I, B))),
+    (Prohibition(I, ZERO), TOP),
+    (Prohibition(I, ONE), Dynamic(I, ONE, BOTTOM)),
+    (Prohibition(I, Concurrent(A, B), REP),
+     And((Prohibition(I, A, REP), Prohibition(I, B, REP)))),
+    (Prohibition(I, Choice(A, B), REP), And((Prohibition(I, A, REP), Prohibition(I, B, REP)))),
+    (Prohibition(I, Sequence(A, B), REP), Dynamic(I, A, Prohibition(I, B, REP))),
+    (Prohibition(I, ZERO, REP), TOP),
+    (Prohibition(I, ONE, REP), Dynamic(I, ONE, REP)),
+    (Dynamic(I, Concurrent(A, B), BODY), And((Dynamic(I, A, BODY), Dynamic(I, B, BODY)))),
+    (Dynamic(I, Choice(A, B), BODY), And((Dynamic(I, A, BODY), Dynamic(I, B, BODY)))),
+    (Dynamic(I, Sequence(A, B), BODY), Dynamic(I, A, Dynamic(I, B, BODY))),
+    (Dynamic(I, Negation(A), BODY), Dynamic(I, Negation(A), BODY)),
+    (Dynamic(I, ZERO, BODY), Dynamic(I, ZERO, BODY)),
+    (Dynamic(I, ONE, BODY), Dynamic(I, ONE, BODY)),
+    (STAR_A, And((BODY, Dynamic(I, A, STAR_A)))),
+    (STAR_AB, And((BODY, Dynamic(I, A, Dynamic(I, B, STAR_AB))))),
+], ids=repr)
+def test_rewrite_rule_table(formula, expected):
+    # Exact shape, child order included: no canonicalize on either side.
+    assert rewrite_compound(formula).key() == expected.key()
+
+
+@pytest.mark.parametrize("formula, error, message", [
+    (Obligation(I, Star(A)), ValueError, "illegal action under an obligation: "),
+    (Obligation(I, Negation(A)), ValueError, "illegal action under an obligation: "),
+    (Permission(I, Star(A)), ValueError, "illegal action under a permission: "),
+    (Permission(I, Negation(A)), ValueError, "illegal action under a permission: "),
+    (Prohibition(I, Star(A)), ValueError, "illegal action under a prohibition: "),
+    (Prohibition(I, Negation(A), REP), ValueError, "illegal action under a prohibition: "),
+    (Dynamic(I, Negation(Sequence(A, B)), BODY), ValueError, "negation applies to a single action"),
+    (Dynamic(I, BODY, BODY), ValueError, "illegal trigger: "),
+    (A, TypeError, "not a formula: "),
+], ids=repr)
+def test_rewrite_rejects_what_no_rule_covers(formula, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        rewrite_compound(formula)
 
 
 def test_rewrite_keeps_bodies_lazy():
@@ -304,6 +368,16 @@ def test_decompose_compiles_the_whole_formula_first():
     raw = conj(Obligation(IJ, A), Dynamic(I, Star(B), Obligation(I, C)))
     with pytest.raises(ValueError, match="compound action"):
         decompose(raw, frozenset(), INDS)
+
+
+def test_decompose_rejects_what_is_not_a_formula():
+    with pytest.raises(TypeError, match="^not a formula: "):
+        decompose(conj(Obligation(IJ, A), A), frozenset(), INDS)
+
+
+def test_the_matcher_rejects_a_compound_action():
+    with pytest.raises(ValueError, match="^compound action reached the matcher: "):
+        trigger_matched(I, Concurrent(A, B), frozenset({ra("i", "a", "j")}), INDS)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,12 @@ def test_structural_equality_and_hash():
     assert hash(left) == hash(right)
     assert left != Obligation(IJ, B)
     assert Obligation(IJ, A) != Prohibition(IJ, A)
+    assert left != "O(a)" and "O(a)" != left
+
+
+def test_a_bare_node_has_no_key():
+    with pytest.raises(NotImplementedError):
+        Formula().key()
 
 
 def test_relativization_shapes():
@@ -91,6 +97,18 @@ def test_canonicalize_choice_constants():
     assert canonicalize(xchoice(TOP, some)) == TOP
     assert canonicalize(xchoice(BOTTOM, some)) == some
     assert canonicalize(xchoice(BOTTOM, BOTTOM)) == BOTTOM
+
+
+def test_empty_and_single_joins():
+    some = Permission(GLOBAL, A)
+    assert conj() is TOP
+    assert xchoice() is BOTTOM
+    assert xchoice(some) is some
+
+
+def test_canonicalize_rejects_what_is_not_a_formula():
+    with pytest.raises(TypeError, match="^not a formula: "):
+        canonicalize(conj(Permission(GLOBAL, A), A))
 
 
 def repr_order(formula: Formula) -> str:

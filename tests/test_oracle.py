@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import rclcheck.oracle
 from rclcheck import (
     BOTTOM,
     GLOBAL,
@@ -95,6 +96,15 @@ def test_prohibition_behaves_as_a_guarded_reparation():
     sigma_hit = (frozenset({ra("i", "a", "j")}),)
     assert not satisfies(sigma_hit, (frozenset(),), f, INDS)
     assert satisfies((frozenset(),), (frozenset(),), f, INDS)
+
+
+def test_satisfies_rejects_what_is_not_a_formula(monkeypatch):
+    # ``prepare`` rejects it first; without it, ``satisfies`` still does.
+    with pytest.raises(TypeError, match="^not a formula: "):
+        satisfies((frozenset(),), (frozenset(),), A, INDS)
+    monkeypatch.setattr(rclcheck.oracle, "prepare", lambda formula: formula)
+    with pytest.raises(TypeError, match="^not a formula: "):
+        satisfies((frozenset(),), (frozenset(),), A, INDS)
 
 
 def test_global_trigger_requires_all_or_none():

@@ -72,9 +72,17 @@ def test_header_pairs_are_unordered():
     assert left.conflicts == right.conflicts
 
 
+def test_render_rejects_what_is_not_a_formula():
+    with pytest.raises(TypeError, match="^not a formula: "):
+        render_formula(Dynamic(GLOBAL, Atom("a"), Atom("b")))
+
+
 def test_comments_and_whitespace_are_insignificant():
-    spec = parse_or_raise("O(a);  // trailing note\n   // a whole line\n\tP( b );")
+    spec = parse_or_raise("O(a);  // trailing note\n   // a whole line\n\tP( b );\r\n")
     assert len(spec.clauses) == 2
+    # Only space, tab, CR and LF are skipped.
+    result = parse("O(a);\tF(b);\x0cP(c);")
+    assert [str(d) for d in result.diagnostics] == ["1:12: error: unknown token '\\x0c'"]
 
 
 def test_precedence_conjunction_over_choice():
