@@ -134,17 +134,16 @@ def relevant_universe(
 ) -> frozenset:
     """Relativized actions that decide the next step of a normal-form formula.
 
-    A residual depends only on which of the formula's leaf tests (the keys
-    of its step table's index, see ``decompose._table``) a step makes
-    true.  Each test adds the actions that match its key (see
-    ``_matching``), so any step T makes the same atomic tests true as its
-    part inside the result, and the subsets of the result give every
-    outcome but one: a nonempty T that meets none of it.  Only a wildcard
-    test tells that step from the empty one, so when a wildcard is present
-    one spare action stands for all such steps: the least one of the
-    ``individuals`` x ``actions`` universe that no test reads (its key is
-    the action, the action's ``(sender, name)`` or its name), if there is
-    one.  Actions only permissions mention are not in the result.
+    A residual depends only on which of the formula's leaf tests a step
+    makes true, and only through the tests a step can change: the keys of
+    its step table's index (see ``decompose._table``).  Each test adds the
+    actions that match its key (see ``_matching``), so any step T makes the
+    same atomic tests true as its part inside the result, and the subsets
+    of the result give every outcome but one: a nonempty T that meets none
+    of it.  Only a wildcard test tells that step from the empty one, so
+    when a wildcard is present one spare action stands for all such steps:
+    the least one of the ``individuals`` x ``actions`` universe that no
+    test matches, if there is one.
     """
     return _universe(_table(formula, _same)[2], individuals, actions)
 
@@ -153,9 +152,9 @@ def _universe(index: dict, individuals: frozenset, actions: frozenset) -> frozen
     """``relevant_universe`` of a step table's test index."""
     tested = frozenset(a for key in index if type(key) is not bool
                        for a in _matching(key, individuals))
-    spare = _spare(lambda a: a in index or a[:2] in index or a[1] in index,
-                   individuals, actions) if _WILDCARD in index else frozenset()
-    return tested | spare
+    if _WILDCARD in index:
+        return tested | _spare(tested.__contains__, individuals, actions)
+    return tested
 
 
 def _cubes(
@@ -204,12 +203,12 @@ def _cubes(
 
     for n in readers.get(_NEVER, ()):
         decide(n, nodes[n][2])
-    keys = sorted((key for key, ns in readers.items() if ns and type(key) is not bool),
+    keys = sorted((key for key in readers if type(key) is not bool),
                   key=lambda k: (k, 2) if type(k) is str else (k[1], type(k) is tuple, k))
     fixed: dict = {}  # the cube: test key -> outcome
     cells: dict = {}  # (sender, name) -> how many of its row's cells are fixed [false, true]
     parts: dict = {}  # true test key -> the actions it adds to the witness
-    if readers.get(_WILDCARD):
+    if _WILDCARD in readers:
         keys.append(_WILDCARD)
         names = actions.union(key if type(key) is str else key[1] for key in keys[:-1])
         spare = partial(_spare, lambda a: fixed.get(a) is False or fixed.get(a[:2]) is False
@@ -291,16 +290,21 @@ def enumerate_action_sets(
     ``prepare(decompose(formula, step))``.  There is one item per
     satisfiable cube of the state's leaf tests (see ``_cubes``), or, under
     ``options.no_pruning``, the concrete reference: every subset of the
-    full universe over ``actions`` (cube ``None``), largest first, then in
-    ``combinations`` order of the sorted universe.
+    full universe over ``actions`` (cube ``None``), in ``_subsets`` order.
     """
     table = _table(formula, outcome)
     if not options.no_pruning:
         return _cubes(table, individuals, actions)
-    universe = sorted(relativized_universe(individuals, actions))
     return ((step, _apply(table, step, individuals), None)
-            for size in range(len(universe), -1, -1)
-            for step in map(frozenset, combinations(universe, size)))
+            for step in _subsets(relativized_universe(individuals, actions)))
+
+
+def _subsets(universe: frozenset) -> Iterator[frozenset]:
+    """Every subset of ``universe``, largest first, then in ``combinations``
+    order of the sorted universe."""
+    ordered = sorted(universe)
+    return chain.from_iterable(map(frozenset, combinations(ordered, size))
+                               for size in range(len(ordered), -1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -198,26 +198,9 @@ def trigger_matched(
     step: frozenset,
     individuals: frozenset[Individual],
 ) -> bool:
-    """Whether a step performs a leaf action under a relativization.
-
-    Global operators need every individual to perform the action (to
-    anyone); performer operators need the sender to perform it to anyone;
-    directed operators need the exact sender-receiver pair.  The wildcard
-    action is performed by any nonempty step, the impossible action never.
-    """
-    if isinstance(action, ZeroAction):
-        return False
-    if isinstance(action, OneAction):
-        return bool(step)
-    if not isinstance(action, Atom):
-        raise ValueError(f"compound action reached the matcher: {action!r}")
-    name = action.name
-    if rel.is_global:
-        performed = {a.sender for a in step if a.action == name}
-        return individuals <= performed
-    if rel.is_performer:
-        return any(a.action == name and a.sender == rel.sender for a in step)
-    return RelativizedAction(rel.sender, name, rel.receiver) in step
+    """Whether a step performs a leaf action under a relativization: the
+    leaf test ``_test`` resolves, answered by ``_holds``."""
+    return _holds(_test(rel, action), step, individuals)
 
 
 def decompose(
@@ -259,8 +242,7 @@ _NEVER = False
 
 
 def _test(rel: Relativization, action: ActionExpr):
-    """What a leaf asks of a step, in the form ``_apply`` looks up: the
-    question ``trigger_matched`` answers, resolved before any step."""
+    """What a leaf asks of a step, resolved before any step."""
     if isinstance(action, ZeroAction):
         return _NEVER
     if isinstance(action, OneAction):
@@ -274,6 +256,22 @@ def _test(rel: Relativization, action: ActionExpr):
     return RelativizedAction(rel.sender, action.name, rel.receiver)
 
 
+def _holds(test, step: frozenset, individuals: frozenset[Individual]) -> bool:
+    """Whether a step makes a leaf test true.  A directed test needs its
+    exact action, the wildcard any nonempty step, and the impossible
+    action never holds; a performer's ``(sender, name)`` needs some action
+    of that sender and name, and a global name every individual to
+    perform it (to anyone)."""
+    kind = type(test)
+    if kind is RelativizedAction:
+        return test in step
+    if kind is bool:
+        return test is _WILDCARD and bool(step)
+    if kind is tuple:
+        return any(a[:2] == test for a in step)
+    return individuals <= {a.sender for a in step if a.action == test}
+
+
 def _table(formula: Formula, outcome: Callable[[Formula], Formula]) -> tuple[list, list, dict]:
     """Compile a normal-form formula into its step table, in one walk.
 
@@ -284,7 +282,8 @@ def _table(formula: Formula, outcome: Callable[[Formula], Formula]) -> tuple[lis
     or false (see ``_test``).  ``parent`` holds each node's parent id, -1
     at the root.  ``index`` maps each test key to the leaves that read it,
     except that a leaf no step changes (a ``0`` test, or two outcomes that
-    are one object) is read by ``_NEVER`` alone; its key is still listed.
+    are one object) is filed under ``_NEVER``, so every other key listed
+    is one that some step can change the residual through.
     Bodies and reparations go through ``outcome`` once, here, so a caller
     can hand in their step normal form; constants and permissions never
     change and test nothing.
@@ -316,8 +315,7 @@ def _table(formula: Formula, outcome: Callable[[Formula], Formula]) -> tuple[lis
         else:
             raise TypeError(f"not a formula: {f!r}")
         nodes.append(leaf)
-        readers = index.setdefault(leaf[0], [])
-        (index.setdefault(_NEVER, []) if leaf[1] is leaf[2] else readers).append(n)
+        index.setdefault(_NEVER if leaf[1] is leaf[2] else leaf[0], []).append(n)
         return n
 
     walk(formula, -1)
@@ -329,27 +327,12 @@ def _apply(table: tuple, step: frozenset, individuals: frozenset[Individual]) ->
     joined up its spine by ``join``.  Children are drawn lazily, so the
     rest of a spine after an absorbing child is skipped."""
     nodes = table[0]
-    pairs: set | None = None  # built when a performer or global test is first read
 
     def go(n: int) -> Formula:
-        nonlocal pairs
         node = nodes[n]
         if len(node) == 2:
             return join(node[0], map(go, node[1]))
-        test, if_true, if_false = node
-        kind = type(test)
-        if kind is RelativizedAction:
-            holds = test in step
-        elif kind is bool:
-            holds = test is _WILDCARD and bool(step)
-        else:  # a performer's (sender, name) or a global test's name
-            if pairs is None:
-                pairs = {(a.sender, a.action) for a in step}
-            if kind is tuple:
-                holds = test in pairs
-            else:
-                holds = all((i, test) in pairs for i in individuals)
-        return if_true if holds else if_false
+        return node[1] if _holds(node[0], step, individuals) else node[2]
 
     return go(0)
 

@@ -10,15 +10,14 @@ subset of ``relevant_universe`` of its step table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
-from .automaton import _universe
+from .automaton import _subsets, _universe
 from .conflicts import Clash, search_conflicts
 from .decompose import (
     DeonticOp,
     DeonticTag,
     _apply,
-    _same,
     _table,
     deontic_tags,
     prepare,
@@ -173,19 +172,18 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
     Every action trace up to ``max_len`` over the per-residual relevant
     actions (plus the empty step) is tried depth-first from the root; each
     residual's deontic groups are searched for a clash.  Only practical on
-    small alphabets; bounds are enforced.  Each residual is compiled once
-    into its step table, which gives its universe (the table's
-    ``relevant_universe``) and which every subset is then applied to.
+    small alphabets; bounds are enforced.  A residual steps the way a
+    ``-n`` state does (``BuildOptions(no_pruning=True)``): it is compiled
+    once into its step table, with bodies and reparations prepared, and
+    ``_apply`` takes it through every subset of its ``relevant_universe``,
+    in ``-n``'s order.
 
-    Every subset of ``relevant_universe`` is a step here, so the engine's
-    enumerator, one witness step per cube of a state's leaf tests, is not
-    the oracle's, and neither is the universe: the engine never reads
-    ``relevant_universe``, and ``_cubes`` picks a true wildcard's spare
-    action by its own rule, the least action that makes no test fixed
-    false true.  ``_apply`` is shared only with the concrete mode
-    (``BuildOptions(no_pruning=True)``, ``-n``).  What the oracle does
-    share with the engine is ``_table``, ``prepare``, ``deontic_tags`` and
-    ``search_conflicts``.
+    The engine's enumerator, one witness step per cube of a state's leaf
+    tests, is not the oracle's, and neither is the universe: the engine
+    never reads ``relevant_universe``, and ``_cubes`` picks a true
+    wildcard's spare action by its own rule, the least action that makes
+    no test fixed false true.  What the oracle does share with the engine
+    is ``_table``, ``prepare``, ``deontic_tags`` and ``search_conflicts``.
     """
     individuals = spec.effective_individuals
     if len(individuals) > _MAX_INDIVIDUALS or len(spec.actions) > _MAX_ACTIONS:
@@ -204,14 +202,9 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
         if done.get(formula, -1) >= remaining:
             return None
         done[formula] = remaining
-        table = _table(formula, _same)
-        universe = sorted(_universe(table[2], individuals, spec.actions))
-        candidates = [frozenset()]
-        for size in range(1, len(universe) + 1):
-            candidates.extend(frozenset(c) for c in combinations(universe, size))
-        for step in candidates:
-            residual = prepare(_apply(table, step, individuals))
-            found = explore(residual, remaining - 1, prefix + (step,))
+        table = _table(formula, prepare)
+        for step in _subsets(_universe(table[2], individuals, spec.actions)):
+            found = explore(_apply(table, step, individuals), remaining - 1, prefix + (step,))
             if found is not None:
                 return found
         return None

@@ -122,6 +122,22 @@ def _found(kind: str, value: str) -> str:
     return repr(value) if kind != "eof" else "end of input"
 
 
+def _choice_family(branch: Formula) -> type | None:
+    """``Obligation`` or ``Permission`` when every leaf of a clause-choice
+    branch is one of that kind; None otherwise."""
+    kinds = set()
+    stack = [branch]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (And, XChoice)):
+            stack.extend(f.children)
+        elif isinstance(f, (Obligation, Permission)):
+            kinds.add(type(f))
+        else:
+            return None
+    return kinds.pop() if len(kinds) == 1 else None
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -280,37 +296,16 @@ class _Parser:
         first = self.parse_conjunction()
         if self.kinds[self.pos] != "(+)":
             return first
-        branches = [first]
+        branches, families = [first], []
         while (tok := self.accept("(+)")) is not None:
             branches.append(self.parse_conjunction())
-            self.check_choice_operand(branches[-2], tok)
-            self.check_choice_operand(branches[-1], tok)
-        families = {self.choice_family(b) for b in branches}
-        if len(families) > 1:
+            for branch in branches[len(families):]:  # both operands of the first (+)
+                families.append(_choice_family(branch))
+                if families[-1] is None:
+                    self.error("clause choice applies only to obligation or permission clauses", tok)
+        if len(set(families)) > 1:
             self.error("clause choice cannot mix obligations and permissions", self.pos - 1)
         return xchoice(*branches)
-
-    def check_choice_operand(self, branch: Formula, tok: int) -> None:
-        if self.choice_family(branch) is None:
-            self.error("clause choice applies only to obligation or permission clauses", tok)
-
-    def choice_family(self, branch: Formula) -> str | None:
-        """'O' or 'P' when every deontic leaf matches; None otherwise."""
-        ops: set[str] = set()
-        stack = [branch]
-        while stack:
-            f = stack.pop()
-            if isinstance(f, Obligation):
-                ops.add("O")
-            elif isinstance(f, Permission):
-                ops.add("P")
-            elif isinstance(f, (And, XChoice)):
-                stack.extend(f.children)
-            else:
-                return None
-        if len(ops) == 1:
-            return ops.pop()
-        return None
 
     def parse_conjunction(self) -> Formula:
         first = self.parse_primary()

@@ -80,6 +80,13 @@ def test_relevance_restricts_to_compatible_actions():
     individuals = frozenset({"i", "j"})
     assert relevant_universe(formula, individuals) == {ra("i", "a", "j")}
     assert list(steps(formula, individuals)) == [frozenset({ra("i", "a", "j")}), frozenset()]
+    # A leaf that no step changes reads nothing: a trigger of `true`, and a
+    # wildcard whose two outcomes are one object.
+    guarded = prepare(conj(Dynamic(directed("i", "j"), Atom("a"), TOP),
+                           Obligation(directed("i", "j"), Atom("b"))))
+    assert relevant_universe(guarded, individuals) == {ra("i", "b", "j")}
+    wildcard = prepare(conj(Dynamic(GLOBAL, ONE, TOP), Obligation(directed("i", "j"), Atom("b"))))
+    assert relevant_universe(wildcard, individuals, frozenset({"a", "b"})) == {ra("i", "b", "j")}
 
 
 def test_relevance_skips_dynamic_bodies_and_reparations():
@@ -115,10 +122,10 @@ def test_wildcard_trigger_adds_one_spare_action():
 def test_wildcard_adds_no_spare_when_every_action_is_tested():
     individuals = frozenset({"i"})
     actions = frozenset({"a"})
-    formula = conj(Obligation(GLOBAL, Atom("a")), Dynamic(GLOBAL, ONE, TOP))
+    formula = conj(Obligation(GLOBAL, Atom("a")), Dynamic(GLOBAL, ONE, BOTTOM))
     assert relevant_universe(formula, individuals, actions) == {ra("i", "a", "i")}
     # Without an alphabet there is no action to spare.
-    assert relevant_universe(Dynamic(GLOBAL, ONE, TOP), individuals) == frozenset()
+    assert relevant_universe(Dynamic(GLOBAL, ONE, BOTTOM), individuals) == frozenset()
 
 
 # Each of these clashes only after a nonempty step that makes no atomic test
@@ -224,8 +231,9 @@ def test_wildcard_valuations_use_the_spare_action(wildcard):
 
 def test_wildcard_without_a_spare_needs_a_tested_action():
     individuals = frozenset({"i"})
-    formula = conj(Obligation(GLOBAL, Atom("a")), Dynamic(GLOBAL, ONE, TOP))
-    # With every action tested, a nonempty step makes the global test true.
+    formula = conj(Dynamic(performer("i"), Atom("a"), BOTTOM), Dynamic(GLOBAL, ONE, BOTTOM))
+    # The only action makes the performer test true, so the wildcard is
+    # never true alone: with the performer test false, the step is empty.
     assert list(steps(formula, individuals, frozenset({"a"}))) == [{ra("i", "a", "i")}, frozenset()]
 
 
@@ -390,6 +398,11 @@ def test_no_pruning_enumeration_order():
         enumerate_action_sets(formula, individuals, options, actions=frozenset({"a", "b"}))
     )
     assert [len(step) for step, _, _ in sets] == [2, 1, 1, 0]
+    # Largest first, then in `combinations` order of the sorted universe.
+    assert [step for step, _, _ in sets] == [
+        {ra("i", "a", "i"), ra("i", "b", "i")}, {ra("i", "a", "i")}, {ra("i", "b", "i")},
+        frozenset(),
+    ]
     assert sets[-1] == (frozenset(), BOTTOM, None)
 
 

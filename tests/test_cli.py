@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from rclcheck import BuildOptions, construct, export_dot, parse_or_raise, run_check
 from rclcheck.cli import main
+from rclcheck.conflicts import clash_free_tag_count
 
 from conftest import CONTRACTS, REPO_ROOT
 from dot_grammar import validate_dot
@@ -176,6 +177,23 @@ def test_a_long_choice_chain_is_checked_within_its_budget(tmp_path, text, code, 
                           env=env, capture_output=True, text=True, timeout=20)
     assert done.returncode == code, done.stderr
     assert done.stdout.splitlines()[0] == first_line
+
+
+@pytest.mark.parametrize("text, code, clash", [
+    ("{i,j}O(a) ^ [b]({i,j}F(a));", 0, []),
+    ("{i,j}O(a) ^ [b]({i,j}F(a)) ^ [a]({i,j}O(a));", 1,
+     ["Conflict between: {i,j}F(a) AND {i,j}O(a)"]),
+], ids=["conflict-free", "conflict"])
+@pytest.mark.parametrize("flags", [(), ("-n",)], ids=["cubes", "concrete"])
+def test_the_concrete_mode_gives_the_same_verdict(capsys, tmp_path, text, code, clash, flags):
+    # An obligation and a prohibition of one action could clash, so neither
+    # contract is decided before its automaton is built.
+    assert clash_free_tag_count(parse_or_raise(text)) is None
+    path = tmp_path / "contract.rcl"
+    path.write_text(text + "\n")
+    got, out, _ = run(capsys, str(path), *flags)
+    assert got == code
+    assert [line for line in out.splitlines() if line.startswith("Conflict between: ")] == clash
 
 
 def test_bad_flag_exits_sixtyfour(capsys):

@@ -380,6 +380,22 @@ def test_the_matcher_rejects_a_compound_action():
         trigger_matched(I, Concurrent(A, B), frozenset({ra("i", "a", "j")}), INDS)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_matcher_is_the_leaf_test_that_decompose_reads(data):
+    # Global, performer and directed tests (self-directed included) of a
+    # basic action, 0 and 1, on steps over the whole universe.
+    individuals = frozenset("ijk"[:data.draw(st.integers(1, 3))])
+    who = sorted(individuals)
+    rel = data.draw(st.sampled_from([GLOBAL] + [performer(s) for s in who]
+                                    + [directed(s, r) for s in who for r in who]))
+    action = data.draw(st.sampled_from([A, ZERO, ONE]))
+    universe = sorted(relativized_universe(individuals, frozenset("ab")))
+    step = data.draw(st.frozensets(st.sampled_from(universe)))
+    fired = decompose(Dynamic(rel, action, BOTTOM), step, individuals) is BOTTOM
+    assert trigger_matched(rel, action, step, individuals) == fired
+
+
 # ---------------------------------------------------------------------------
 # deontic_tags
 

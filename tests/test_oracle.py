@@ -27,7 +27,9 @@ from rclcheck import (
     parse_or_raise,
     performer,
     prepare,
+    relativized_universe,
     satisfies,
+    search_conflicts,
 )
 from rclcheck.automaton import relevant_universe
 from rclcheck.decompose import decompose
@@ -229,3 +231,25 @@ def test_oracle_agrees_with_the_engine():
         engine = check(spec)
         oracle = oracle_verdict(spec, max_len=4)
         assert engine.has_conflicts == oracle.conflict, seed
+
+
+@pytest.mark.parametrize("n_actions, max_len", [(2, 4), (3, 3)], ids=["2x2", "2x3"])
+def test_oracle_traces_replay_to_their_clash(n_actions, max_len):
+    # Each conflict's trace stays inside the alphabet and the bound, and
+    # stepping the root along it reaches a state whose tags clash.
+    stepped = 0
+    for seed in range(200):
+        spec = generate(individuals=2, actions=n_actions, clauses=3, max_depth=3, seed=seed)
+        result = oracle_verdict(spec, max_len=max_len)
+        if not result.conflict:
+            continue
+        stepped += bool(result.trace)
+        individuals = spec.effective_individuals
+        alphabet = relativized_universe(individuals, spec.actions)
+        assert len(result.trace) <= max_len
+        assert all(step <= alphabet for step in result.trace)
+        state = prepare(spec.root())
+        for step in result.trace:
+            state = prepare(decompose(state, step, individuals, spec.actions))
+        assert search_conflicts(deontic_tags(state), spec.conflicts) == result.clash
+    assert stepped >= 20
