@@ -25,11 +25,11 @@ from .decompose import (
     _WILDCARD,
     RelativizedAction,
     _apply,
-    _same,
     _table,
     decompose,  # the per-step reference the tables reproduce; perfbench traces it here
     deontic_tags,
     prepare,
+    prepare_exposed,
 )
 from .formula import BOTTOM, ActionName, And, Bottom, ContractSpec, Formula, Individual, Top, join
 
@@ -136,16 +136,18 @@ def relevant_universe(
 
     A residual depends only on which of the formula's leaf tests a step
     makes true, and only through the tests a step can change: the keys of
-    its step table's index (see ``decompose._table``).  Each test adds the
-    actions that match its key (see ``_matching``), so any step T makes the
-    same atomic tests true as its part inside the result, and the subsets
-    of the result give every outcome but one: a nonempty T that meets none
-    of it.  Only a wildcard test tells that step from the empty one, so
-    when a wildcard is present one spare action stands for all such steps:
-    the least one of the ``individuals`` x ``actions`` universe that no
-    test matches, if there is one.
+    its step table's index (see ``decompose._table``), compiled as the
+    engine compiles a state, so a leaf whose outcomes normalise to one
+    object reads nothing.  Each test adds the actions that match its key
+    (see ``_matching``), so any step T makes the same atomic tests true as
+    its part inside the result, and the subsets of the result give every
+    outcome but one: a nonempty T that meets none of it.  Only a wildcard
+    test tells that step from the empty one, so when a wildcard is present
+    one spare action stands for all such steps: the least one of the
+    ``individuals`` x ``actions`` universe that no test matches, if there
+    is one.
     """
-    return _universe(_table(formula, _same)[2], individuals, actions)
+    return _universe(_table(formula, prepare_exposed)[2], individuals, actions)
 
 
 def _universe(index: dict, individuals: frozenset, actions: frozenset) -> frozenset:
@@ -322,8 +324,11 @@ def construct(
 
     A state's transitions come from ``enumerate_action_sets``, looked up
     when the state is visited, with each exposed body and reparation
-    prepared once per construction.  Every action of a step is checked
-    against the alphabet the first time a step holds it.
+    prepared once per construction.  The root is prepared whole, so every
+    state is canonical all the way down, and an exposed body or
+    reparation needs only ``prepare_exposed``: its rewrite, joined at its
+    top level.  Every action of a step is checked against the alphabet
+    the first time a step holds it.
     ``on_state`` runs on every state with its deontic groups, before its
     successors are explored; returning True halts the construction there.
     States are labelled only for ``on_state``.  The automaton built so far
@@ -336,7 +341,7 @@ def construct(
     prepared: dict[Formula, Formula] = {}
 
     def prepare_once(formula: Formula) -> Formula:
-        return prepared.get(formula) or prepared.setdefault(formula, prepare(formula))
+        return prepared.get(formula) or prepared.setdefault(formula, prepare_exposed(formula))
 
     deadline = None if options.time_limit is None else time.monotonic() + options.time_limit
 

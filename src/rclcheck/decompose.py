@@ -42,6 +42,7 @@ from .formula import (
     conj,
     conjuncts,
     join,
+    join_spine,
     xchoice,
 )
 
@@ -188,6 +189,18 @@ def prepare(formula: Formula) -> Formula:
     return canonicalize(rewrite_compound(formula))
 
 
+def prepare_exposed(formula: Formula) -> Formula:
+    """``prepare`` of a formula whose bodies and reparations are canonical,
+    such as one that a step exposes from a state in step normal form.
+
+    Rewriting keeps those bodies and reparations, and builds new leaves
+    only over them, so every leaf of its result is canonical and only the
+    ``And``/``XChoice`` spine is joined again: the cost follows what the
+    rewrite built, not the depth of the formula.
+    """
+    return join_spine(rewrite_compound(formula), _same)
+
+
 # ---------------------------------------------------------------------------
 # Single-step decomposition
 
@@ -232,6 +245,8 @@ def decompose(
 
 
 def _same(formula: Formula) -> Formula:
+    # Only ``decompose`` compiles a table with this outcome, as its caller
+    # prepares the residual whole; ``prepare_exposed`` keeps its leaves by it.
     return formula
 
 

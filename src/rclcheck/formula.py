@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
+from typing import Callable, Iterable
 
 Individual = str
 ActionName = str
@@ -328,6 +329,11 @@ def canonicalize(formula: Formula) -> Formula:
     constants are folded away (``TOP ^ C -> C``, ``BOTTOM ^ C -> BOTTOM``,
     ``TOP (+) C -> TOP``, ``BOTTOM (+) C -> C``).  Idempotent, and alphabet-preserving.
     """
+    return join_spine(formula, _canonical_leaf)
+
+
+def _canonical_leaf(formula: Formula) -> Formula:
+    # A node off the spine, its reparation or body canonicalized.
     if isinstance(formula, (Top, Bottom, Permission)):
         return formula
     if isinstance(formula, (Obligation, Prohibition)):
@@ -342,9 +348,15 @@ def canonicalize(formula: Formula) -> Formula:
         if body is formula.body:
             return formula
         return Dynamic(formula.rel, formula.trigger, body)
-    if isinstance(formula, (And, XChoice)):
-        return join(type(formula), map(canonicalize, formula.children))
     raise TypeError(f"not a formula: {formula!r}")
+
+
+def join_spine(formula: Formula, leaf: Callable[[Formula], Formula]) -> Formula:
+    """The ``And``/``XChoice`` spine of a formula joined bottom-up by
+    ``join``, with every node off the spine replaced by ``leaf`` of it."""
+    if isinstance(formula, (And, XChoice)):
+        return join(type(formula), map(join_spine, formula.children, repeat(leaf)))
+    return leaf(formula)
 
 
 def join(kind: type[And] | type[XChoice], children: Iterable[Formula]) -> Formula:

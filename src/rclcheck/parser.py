@@ -156,11 +156,13 @@ class _Parser:
         self.values = _SCANNER.findall(text)
         # Matches that are neither marks nor keywords are identifiers (ASCII,
         # from a letter), and comments and unknown characters, which are
-        # dropped.  ``isalpha`` alone would take ``µ`` for a letter.
+        # dropped.  ``isalpha`` alone would take ``µ`` for a letter.  Only an
+        # unknown character needs a second scan, for its offset.
         self.dropped = {v for v in set(self.values).difference(_KINDS)
                         if not (v.isascii() and v[0].isalpha())}
         if self.dropped:
             self.values = [v for v in self.values if v not in self.dropped]
+        if any(v[:2] != "//" for v in self.dropped):
             for match in _SCANNER.finditer(text):
                 if match[0] in self.dropped and match[0][:2] != "//":
                     self.diagnose("error", f"unknown token {match[0]!r}", match.start())

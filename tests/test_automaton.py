@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+from importlib import import_module
 from itertools import combinations, islice
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +30,7 @@ from rclcheck import (
     Star,
     Top,
     VerdictKind,
+    canonicalize,
     check,
     conj,
     construct,
@@ -49,7 +52,7 @@ from rclcheck.generator import generate
 
 from conftest import CONTRACTS
 from dot_grammar import validate_dot
-from strategies import action_set_count, specs
+from strategies import action_set_count, choice_obligation_specs, specs
 
 
 def ra(s, a, r):
@@ -87,6 +90,9 @@ def test_relevance_restricts_to_compatible_actions():
     assert relevant_universe(guarded, individuals) == {ra("i", "b", "j")}
     wildcard = prepare(conj(Dynamic(GLOBAL, ONE, TOP), Obligation(directed("i", "j"), Atom("b"))))
     assert relevant_universe(wildcard, individuals, frozenset({"a", "b"})) == {ra("i", "b", "j")}
+    # `{i,j}O(a) _/P(0)/_`: a reparation that prepares to `true` is no outcome.
+    kept = Obligation(directed("i", "j"), Atom("a"), Permission(GLOBAL, ZERO))
+    assert relevant_universe(kept, individuals) == frozenset()
 
 
 def test_relevance_skips_dynamic_bodies_and_reparations():
@@ -610,6 +616,56 @@ def test_a_budgeted_build_is_a_prefix_of_the_whole_one(spec, budget, complete, n
     assert {t.target for t in part.transitions} >= set(range(1, states))
     for sid in range(states):
         assert trace_to(part, sid)[-1].state == sid
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=st.one_of(specs(pairs=True), choice_obligation_specs(), st.builds(
+           lambda n, clauses, depth, seed: generate(individuals=n, actions=n, clauses=clauses,
+                                                    max_depth=depth, seed=seed),
+           st.sampled_from([2, 3]), st.integers(1, 3), st.integers(4, 5), st.integers(0, 10**6))))
+def test_exposed_bodies_need_only_their_top_level_normalised(spec):
+    # The root is prepared whole, so every state is canonical all the way
+    # down, and what a step exposes needs no deeper normalisation than
+    # ``prepare_exposed``: the deep ``prepare`` builds the same automaton.
+    options = BuildOptions(complete=True, max_states=300, max_transitions=6000)
+    fast = build_check(spec, options).automaton
+    assert all(canonicalize(f) == f for f in fast.formulas)
+    with patch.object(rclcheck.automaton, "prepare_exposed", prepare):
+        deep = build_check(spec, options).automaton
+    assert [f.key() for f in fast.formulas] == [f.key() for f in deep.formulas]
+    assert fast.transitions == deep.transitions
+    assert (fast.conflict_states, fast.exhausted) == (deep.conflict_states, deep.exhausted)
+
+
+def guarded_chain(depth: int) -> str:
+    """Obligations nested ``depth`` deep, each guarded by the one before,
+    and a prohibition of the last that clashes with it."""
+    body = "{i,j}O(done)"
+    for k in range(depth, 0, -1):
+        body = f"{{i,j}}O(s{k}) ^ {{k,j}}P(r{k}) ^ {{i,j}}[s{k}]({body})"
+    return body + ";\n{i,j}[!never*]({i,j}F(done));\n"
+
+
+def test_normalisation_grows_linearly_along_a_guarded_chain(monkeypatch):
+    # Counted, not timed, through the module globals the engine calls: a
+    # step that renormalised what it exposes all the way down made 3.9
+    # times the calls at depth 64 that it made at depth 32.
+    calls = []
+    for module in map(import_module, ("rclcheck.formula", "rclcheck.decompose",
+                                      "rclcheck.automaton")):
+        for name in ("canonicalize", "join"):
+            if hasattr(module, name):
+                fn = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, _fn=fn: calls.append(1) or _fn(*a))
+
+    def cost(depth: int) -> int:
+        spec = parse_or_raise(guarded_chain(depth))
+        calls.clear()
+        reports = build_check(spec).verdict.reports
+        assert [r.state for r in reports] == [2 * depth + 2]
+        return len(calls)
+
+    assert cost(64) <= 2.5 * cost(32)
 
 
 # ---------------------------------------------------------------------------

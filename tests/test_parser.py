@@ -300,3 +300,21 @@ def test_a_parse_adds_no_parser_attribute():
         parser.parse_clause()
     assert [d.severity for d in parser.diagnostics] == ["warning", "error"]
     assert set(vars(parser)) == before
+
+
+def test_a_commented_contract_is_scanned_once(monkeypatch, sales_contract_text):
+    from unittest.mock import Mock
+
+    import rclcheck.parser
+
+    # A stand-in for the compiled scanner that counts its calls.
+    scanner = Mock(wraps=rclcheck.parser._SCANNER)
+    monkeypatch.setattr(rclcheck.parser, "_SCANNER", scanner)
+    assert "//" in sales_contract_text
+    result = parse(sales_contract_text)
+    assert result.ok and not result.diagnostics
+    assert scanner.finditer.call_count == 0
+    # An unknown character beside a comment is still found, at its column.
+    result = parse("// a note $\nO(a) ^ $P(b);")
+    assert [str(d) for d in result.diagnostics] == ["2:8: error: unknown token '$'"]
+    assert scanner.finditer.call_count == 1
