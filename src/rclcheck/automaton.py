@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import chain, combinations, product, starmap
@@ -50,37 +49,48 @@ class Transition(NamedTuple):
     target: int
 
 
-@dataclass(frozen=True)
-class BuildOptions:
+class _BuildOptions(NamedTuple):
+    complete: bool
+    no_pruning: bool
+    max_states: int
+    max_transitions: int
+    time_limit: float | None
+
+
+class BuildOptions(_BuildOptions):
     """Construction knobs; a bad value raises ``ValueError``.
 
     ``complete`` keeps exploring past the first conflict.  ``no_pruning``
     is the concrete reference mode: every subset of the full
     relativized-action universe is a step, instead of one witness step per
-    cube of a state's leaf tests.  The state and transition budgets (at
-    least 1; ``max_transitions`` counts one transition per cube, or per
-    subset under ``no_pruning``) turn runaway instances into an explicit
-    out-of-budget outcome; ``time_limit`` (finite seconds above 0) does the
-    same on the wall clock.
+    cube of a state's leaf tests.  The state and transition budgets (whole
+    numbers of at least 1; ``max_transitions`` counts one transition per
+    cube, or per subset under ``no_pruning``) turn runaway instances into an
+    explicit out-of-budget outcome; ``time_limit`` (finite seconds above 0,
+    or ``None``) does the same on the wall clock.
     """
 
-    complete: bool = False
-    no_pruning: bool = False
-    max_states: int = 200_000
-    max_transitions: int = 500_000
-    time_limit: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.max_states < 1:
-            raise ValueError("max_states must be at least 1")
-        if self.max_transitions < 1:
-            raise ValueError("max_transitions must be at least 1")
-        if self.time_limit is not None and not 0 < self.time_limit < float("inf"):
+    def __new__(cls, complete: bool = False, no_pruning: bool = False,
+                max_states: int = 200_000, max_transitions: int = 500_000,
+                time_limit: float | None = None) -> BuildOptions:
+        for name, budget in (("max_states", max_states), ("max_transitions", max_transitions)):
+            if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+                raise ValueError(f"{name} must be a whole number of at least 1")
+        if time_limit is not None and (
+                not isinstance(time_limit, (int, float)) or isinstance(time_limit, bool)
+                or not 0 < time_limit < float("inf")):  # nan fails both comparisons
             raise ValueError("time_limit must be a finite number of seconds above 0")
+        return tuple.__new__(cls, (complete, no_pruning, max_states, max_transitions, time_limit))
+
+    @classmethod
+    def _make(cls, iterable) -> BuildOptions:
+        # ``_replace`` builds through here, so it validates too.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ContractAutomaton:
+class ContractAutomaton(NamedTuple):
     """State s is the residual ``formulas[s]``, and state 0 is the initial
     one.  ``violation`` is the ``false`` state, if the build reached it.
     ``exhausted`` says which budget stopped the build and how far it got,
@@ -404,8 +414,7 @@ def construct(
 # Traces
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One stop along a path: the state, and the label plus transition
     index that led into it (absent on the initial state)."""
 

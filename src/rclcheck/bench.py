@@ -7,16 +7,14 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .automaton import BuildOptions
 from .conflicts import VerdictKind, run_check
 from .generator import generate
 
 
-@dataclass(frozen=True)
-class BenchGroup:
+class BenchGroup(NamedTuple):
     """One experiment group: every run draws a fresh seed at these sizes."""
 
     individuals: int

@@ -9,8 +9,8 @@ automaton is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .automaton import (
     BuildOptions,
@@ -185,8 +185,7 @@ class VerdictKind(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class ConflictReport:
+class ConflictReport(NamedTuple):
     state: int
     kind: ConflictKind
     left: DeonticTag
@@ -196,8 +195,7 @@ class ConflictReport:
     right_clause: str
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """``reason`` says why an inconclusive check stopped, or that a
     conflict-free one was decided before any automaton was built."""
 
@@ -214,8 +212,7 @@ class Verdict:
         return self.kind is VerdictKind.CONFLICTS
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
     """A verdict together with the automaton that produced it."""
 
     verdict: Verdict
@@ -259,7 +256,7 @@ def build_check(spec: ContractSpec, options: BuildOptions = BuildOptions()) -> C
             clashes[sid] = clash
         return clash is not None and not options.complete
 
-    automaton = replace(construct(spec, options, on_state), conflict_states=frozenset(clashes))
+    automaton = construct(spec, options, on_state)._replace(conflict_states=frozenset(clashes))
 
     reports = tuple(sorted(
         (ConflictReport(sid, kind, left, right, trace_to(automaton, sid),

@@ -3,16 +3,17 @@
 A contract is an immutable formula tree built from deontic operators
 (obligation, permission, prohibition), dynamic modalities, conjunction and
 clause choice, over an action algebra with concurrency, sequence and choice.
-Every node carries a cached structural key, so formulas hash and compare in
-near-constant time; the automaton construction relies on that for state
-deduplication.
+Nodes are slotted and never changed once built.  Every node caches a
+structural key, so formulas hash and compare in near-constant time; the
+automaton construction relies on that for state deduplication.  The
+records around them (``ConflictRelations``, ``ContractSpec``) are named
+tuples.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 Individual = str
 ActionName = str
@@ -22,25 +23,29 @@ class _Keyed:
     """Mixin giving AST nodes a cached structural key.
 
     The key is a nested tuple unique to the node's shape; hashing, equality
-    and the canonical order of children all go through it.  Caches live in
-    the instance ``__dict__`` so frozen dataclasses can still fill them.
+    and the canonical order of children all go through it.  A node is never
+    changed after construction, so its key and hash are computed once, on
+    first use, into the slots ``_k`` and ``_h``.
     """
+
+    __slots__ = ("_k", "_h")
+
+    def __init__(self) -> None:
+        self._k = self._h = None
 
     def _build_key(self) -> tuple:
         raise NotImplementedError
 
     def key(self) -> tuple:
-        k = self.__dict__.get("_k")
+        k = self._k
         if k is None:
-            k = self._build_key()
-            object.__setattr__(self, "_k", k)
+            k = self._k = self._build_key()
         return k
 
     def __hash__(self) -> int:
-        h = self.__dict__.get("_h")
+        h = self._h
         if h is None:
-            h = hash(self.key())
-            object.__setattr__(self, "_h", h)
+            h = self._h = hash(self.key())
         return h
 
     def __eq__(self, other: object) -> bool:
@@ -117,26 +122,33 @@ def directed(sender: Individual, receiver: Individual) -> Relativization:
 class ActionExpr(_Keyed):
     """Base class of the action algebra."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False, repr=False)
+
 class Atom(ActionExpr):
-    name: ActionName
+    __slots__ = ("name",)
+
+    def __init__(self, name: ActionName) -> None:
+        self.name = name
+        self._k = self._h = None
 
     def _build_key(self) -> tuple:
         return ("atom", self.name)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ZeroAction(ActionExpr):
     """The impossible action: it never happens."""
+
+    __slots__ = ()
 
     def _build_key(self) -> tuple:
         return ("zero",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class OneAction(ActionExpr):
     """The wildcard action: any nonempty step performs it."""
+
+    __slots__ = ()
 
     def _build_key(self) -> tuple:
         return ("one",)
@@ -146,51 +158,56 @@ ZERO = ZeroAction()
 ONE = OneAction()
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Concurrent(ActionExpr):
-    left: ActionExpr
-    right: ActionExpr
+class _Binary(ActionExpr):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: ActionExpr, right: ActionExpr) -> None:
+        self.left = left
+        self.right = right
+        self._k = self._h = None
 
     def _build_key(self) -> tuple:
-        return ("conc", self.left.key(), self.right.key())
+        return (self._tag, self.left.key(), self.right.key())
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Sequence(ActionExpr):
-    left: ActionExpr
-    right: ActionExpr
+class Concurrent(_Binary):
+    __slots__ = ()
+    _tag = "conc"
+
+
+class Sequence(_Binary):
+    __slots__ = ()
+    _tag = "seq"
+
+
+class Choice(_Binary):
+    __slots__ = ()
+    _tag = "alt"
+
+
+class _Unary(ActionExpr):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: ActionExpr) -> None:
+        self.inner = inner
+        self._k = self._h = None
 
     def _build_key(self) -> tuple:
-        return ("seq", self.left.key(), self.right.key())
+        return (self._tag, self.inner.key())
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Choice(ActionExpr):
-    left: ActionExpr
-    right: ActionExpr
-
-    def _build_key(self) -> tuple:
-        return ("alt", self.left.key(), self.right.key())
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Negation(ActionExpr):
+class Negation(_Unary):
     """Trigger-only: matches when the negated action is not performed."""
 
-    inner: ActionExpr
-
-    def _build_key(self) -> tuple:
-        return ("neg", self.inner.key())
+    __slots__ = ()
+    _tag = "neg"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Star(ActionExpr):
+class Star(_Unary):
     """Trigger-only iteration."""
 
-    inner: ActionExpr
-
-    def _build_key(self) -> tuple:
-        return ("star", self.inner.key())
+    __slots__ = ()
+    _tag = "star"
 
 
 # ---------------------------------------------------------------------------
@@ -200,18 +217,22 @@ class Star(ActionExpr):
 class Formula(_Keyed):
     """Base class of contract formulas."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, eq=False, repr=False)
+
 class Top(Formula):
     """The satisfied contract."""
+
+    __slots__ = ()
 
     def _build_key(self) -> tuple:
         return ("top",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Bottom(Formula):
     """The breached contract."""
+
+    __slots__ = ()
 
     def _build_key(self) -> tuple:
         return ("bot",)
@@ -228,68 +249,83 @@ BOTTOM = Bottom()
 _NO_REPARATION = ("~",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Obligation(Formula):
-    rel: Relativization
-    action: ActionExpr
-    reparation: Formula | None = None
+class _Duty(Formula):
+    # An obligation or a prohibition: a deontic leaf with a reparation.
+    __slots__ = ("rel", "action", "reparation")
+
+    def __init__(self, rel: Relativization, action: ActionExpr,
+                 reparation: Formula | None = None) -> None:
+        self.rel = rel
+        self.action = action
+        self.reparation = reparation
+        self._k = self._h = None
 
     def _build_key(self) -> tuple:
         rep = self.reparation.key() if self.reparation is not None else _NO_REPARATION
-        return ("ob", self.rel.key(), self.action.key(), rep)
+        return (self._tag, self.rel.key(), self.action.key(), rep)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+class Obligation(_Duty):
+    __slots__ = ()
+    _tag = "ob"
+
+
 class Permission(Formula):
-    rel: Relativization
-    action: ActionExpr
+    __slots__ = ("rel", "action")
+
+    def __init__(self, rel: Relativization, action: ActionExpr) -> None:
+        self.rel = rel
+        self.action = action
+        self._k = self._h = None
 
     def _build_key(self) -> tuple:
         return ("perm", self.rel.key(), self.action.key())
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Prohibition(Formula):
-    rel: Relativization
-    action: ActionExpr
-    reparation: Formula | None = None
-
-    def _build_key(self) -> tuple:
-        rep = self.reparation.key() if self.reparation is not None else _NO_REPARATION
-        return ("proh", self.rel.key(), self.action.key(), rep)
+class Prohibition(_Duty):
+    __slots__ = ()
+    _tag = "proh"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Dynamic(Formula):
     """Dynamic modality: once the trigger is performed, the body applies."""
 
-    rel: Relativization
-    trigger: ActionExpr
-    body: Formula
+    __slots__ = ("rel", "trigger", "body")
+
+    def __init__(self, rel: Relativization, trigger: ActionExpr, body: Formula) -> None:
+        self.rel = rel
+        self.trigger = trigger
+        self.body = body
+        self._k = self._h = None
 
     def _build_key(self) -> tuple:
         return ("dyn", self.rel.key(), self.trigger.key(), self.body.key())
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class And(Formula):
-    children: tuple[Formula, ...]
+class _Junction(Formula):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[Formula, ...]) -> None:
+        self.children = children
+        self._k = self._h = None
 
     def _build_key(self) -> tuple:
-        return ("and",) + tuple(c.key() for c in self.children)
+        return (self._tag,) + tuple(c.key() for c in self.children)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class XChoice(Formula):
+class And(_Junction):
+    __slots__ = ()
+    _tag = "and"
+
+
+class XChoice(_Junction):
     """Clause choice between obligation or permission alternatives.
 
     Read inclusively: the formula holds when at least one branch holds.
     """
 
-    children: tuple[Formula, ...]
-
-    def _build_key(self) -> tuple:
-        return ("xch",) + tuple(c.key() for c in self.children)
+    __slots__ = ()
+    _tag = "xch"
 
 
 def conj(*children: Formula) -> Formula:
@@ -430,8 +466,7 @@ def _norm_pairs(pairs: Iterable[tuple[ActionName, ActionName]]) -> frozenset[fro
     return frozenset(frozenset(p) for p in pairs)
 
 
-@dataclass(frozen=True)
-class ConflictRelations:
+class ConflictRelations(NamedTuple):
     """Declared pairs of basic actions that must not co-occur.
 
     Global pairs clash whoever performs them; relativized pairs clash only
@@ -469,8 +504,7 @@ class ConflictRelations:
 NO_CONFLICTS = ConflictRelations()
 
 
-@dataclass(frozen=True)
-class ContractSpec:
+class ContractSpec(NamedTuple):
     """A parsed contract: alphabet, pre-defined conflicts, and clauses.
 
     The alphabet is inferred, never declared: individuals and actions are

@@ -9,8 +9,8 @@ subset of ``relevant_universe`` of its step table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .automaton import _subsets, _universe
 from .conflicts import Clash, search_conflicts
@@ -150,8 +150,7 @@ def _position_splits(sigma_d: DeonticTrace):
 # Exhaustive conflict search
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     conflict: bool
     trace: tuple | None = None  # action sets leading to the clash
     clash: Clash | None = None

@@ -19,8 +19,8 @@ and LF separate tokens and are skipped; other whitespace is an unknown token.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import islice, repeat
+from typing import NamedTuple
 
 from .formula import (
     GLOBAL,
@@ -63,8 +63,7 @@ KEYWORDS = frozenset({"conflict", "global", "relativized", "O", "P", "F", "true"
 MAX_DEPTH = 100
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     severity: str  # "error" or "warning"
     line: int
     column: int
@@ -74,10 +73,20 @@ class ParseDiagnostic:
         return f"{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
-@dataclass
-class ParseResult:
+class _ParseResult(NamedTuple):
     spec: ContractSpec | None
-    diagnostics: list[ParseDiagnostic] = field(default_factory=list)
+    diagnostics: list[ParseDiagnostic]
+
+
+class ParseResult(_ParseResult):
+    """The contract, or ``None`` when the text has errors, and every
+    diagnostic made.  Each result owns its list of diagnostics."""
+
+    __slots__ = ()
+
+    def __new__(cls, spec: ContractSpec | None,
+                diagnostics: list[ParseDiagnostic] | None = None) -> ParseResult:
+        return tuple.__new__(cls, (spec, [] if diagnostics is None else diagnostics))
 
     @property
     def ok(self) -> bool:

@@ -563,11 +563,19 @@ def test_transition_budget_is_reported():
 @pytest.mark.parametrize("bad", [
     dict(max_states=0), dict(max_transitions=0), dict(max_transitions=-5),
     dict(time_limit=float("nan")), dict(time_limit=float("inf")), dict(time_limit=0.0),
-    dict(time_limit=-1.0),
+    dict(time_limit=-1.0), dict(max_transitions=float("nan")), dict(max_states=2.5),
+    dict(max_states=True), dict(max_states="5"), dict(max_states=None), dict(time_limit="1"),
+    dict(time_limit=True),
 ], ids=repr)
 def test_build_options_reject_bad_values(bad):
     with pytest.raises(ValueError):
         BuildOptions(**bad)
+
+
+def test_replaced_build_options_are_checked_too():
+    assert BuildOptions()._replace(max_states=3) == BuildOptions(max_states=3)
+    with pytest.raises(ValueError):
+        BuildOptions()._replace(max_transitions=float("nan"))
 
 
 def test_build_options_take_no_time_limit():

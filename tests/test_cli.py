@@ -22,6 +22,16 @@ from dot_grammar import validate_dot
 from strategies import mutated_contracts, token_soup
 
 
+def test_the_command_line_starts_without_dataclass_machinery():
+    # ``dataclasses`` imports ``inspect``, ``ast`` and ``dis``, and every
+    # dataclass execs generated code when it is defined; a run pays both.
+    code = "import sys, rclcheck.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()

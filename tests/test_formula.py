@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from rclcheck import (
     BOTTOM,
     GLOBAL,
+    ONE,
     TOP,
+    ZERO,
     And,
     Atom,
     Choice,
@@ -55,6 +57,36 @@ def test_structural_equality_and_hash():
 def test_a_bare_node_has_no_key():
     with pytest.raises(NotImplementedError):
         Formula().key()
+
+
+def every_node_kind() -> Dynamic:
+    guard = Star(Negation(Choice(Sequence(A, Concurrent(B, C)), ONE)))
+    return Dynamic(IJ, guard, And((Obligation(IJ, ZERO, Prohibition(GLOBAL, A)),
+                                  XChoice((Permission(performer("i"), B), TOP, BOTTOM)))))
+
+
+def test_keys_of_every_node_kind():
+    # Keys fix the order of children, the numbering of states and every
+    # pinned output, so they must not change with how nodes are built.
+    assert repr(every_node_kind().key()) == (
+        "('dyn', ('i', 'j'), ('star', ('neg', ('alt', ('seq', ('atom', 'a'), "
+        "('conc', ('atom', 'b'), ('atom', 'c'))), ('one',)))), ('and', ('ob', ('i', 'j'), "
+        "('zero',), ('proh', ('', ''), ('atom', 'a'), ('~',))), ('xch', ('perm', ('i', ''), "
+        "('atom', 'b')), ('top',), ('bot',))))")
+
+
+def test_nodes_are_slotted_and_cache_their_key():
+    stack, kinds = [every_node_kind()], set()
+    while stack:
+        node = stack.pop()
+        kinds.add(type(node))
+        assert not hasattr(node, "__dict__")
+        assert node.key() is node.key() and hash(node) == hash(node.key())
+        for field in ("left", "right", "inner", "action", "reparation", "trigger", "body"):
+            if getattr(node, field, None) is not None:
+                stack.append(getattr(node, field))
+        stack += getattr(node, "children", ())
+    assert len(kinds) == 16
 
 
 def test_relativization_shapes():
