@@ -181,10 +181,15 @@ def _cubes(
     last), and fold each decided leaf up the spine until the root, the
     residual, is decided.  Spine nodes count their undecided children and a
     trail undoes counts, values and tests on backtrack, so a split costs
-    about as much as the leaves that read its test.  The witness is the
-    least step that realizes the cube: the cell of each true directed test,
-    one action of each other row that must perform, and for a true wildcard
-    alone the least action that keeps every fixed test.
+    about as much as the leaves that read its test.  A global test reads
+    only the rows ``(sender, name)`` that a directed or performer key of its
+    name names: any other sender can always perform the name or idle.  The
+    witness is the least step that realizes the cube: the cell of each true
+    directed test, one action of each other row that must perform, and for
+    a true wildcard alone the least action that keeps every fixed test.  A
+    true global test's actions for the rows no key names are the same on
+    every path, ``(sender, name, least individual)``, so they are built
+    once per state.
     """
     order = sorted(individuals)
     nodes, parent, readers = table
@@ -220,6 +225,16 @@ def _cubes(
     fixed: dict = {}  # the cube: test key -> outcome
     cells: dict = {}  # (sender, name) -> how many of its row's cells are fixed [false, true]
     parts: dict = {}  # true test key -> the actions it adds to the witness
+    shares: dict = {}  # global name -> (rows its other keys name, the other rows' witness)
+    if str in map(type, keys):
+        named: dict = {}  # name -> the senders its directed and performer keys name
+        for key in keys:  # a name's global key sorts after its other keys
+            if type(key) is not str:
+                named.setdefault(key[1], set()).add(key[0])
+                continue
+            tested = named.get(key, ())
+            shares[key] = ([(s, key) for s in order if s in tested],
+                           [RelativizedAction(s, key, order[0]) for s in order if s not in tested])
     if _WILDCARD in readers:
         keys.append(_WILDCARD)
         names = actions.union(key if type(key) is str else key[1] for key in keys[:-1])
@@ -247,13 +262,15 @@ def _cubes(
             if false == len(order) if v else true:
                 return False  # every cell of its row false, or one true
         elif type(key) is str:  # a global test: every sender can perform, or one may idle
-            rows = [(fixed.get((s, key)), *cells.get((s, key), (0, 0))) for s in order]
-            if ([p for p, false, _ in rows if p is False or false == len(order)] if v
-                    else not [p for p, _, true in rows if not (p or true)]):
-                return False
+            rows, idle = shares[key]  # a sender of no row can always perform or idle
+            if v and any(fixed.get(row) is False or cells.get(row, (0, 0))[0] == len(order)
+                         for row in rows):
+                return False  # a sender cannot perform
+            if not (v or idle) and all(fixed.get(row) or cells.get(row, (0, 0))[1] for row in rows):
+                return False  # every sender performs
         if v and key is not _WILDCARD:  # every other key of its name is fixed or shut
-            parts[key] = (key,) if type(key) is RelativizedAction else performing(
-                [key] if type(key) is tuple else [(s, key) for s in order])
+            parts[key] = ((key,) if type(key) is RelativizedAction else performing([key])
+                          if type(key) is tuple else performing(rows) + idle)
         for n in readers[key]:
             decide(n, nodes[n][1] if v else nodes[n][2])
             if value[0] is not None:

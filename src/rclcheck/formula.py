@@ -78,6 +78,11 @@ class Relativization(namedtuple("_Relativization", "sender receiver")):
             raise ValueError("a receiver requires a sender")
         return tuple.__new__(cls, (sender, receiver))
 
+    @classmethod
+    def _make(cls, iterable) -> Relativization:
+        # ``_replace`` builds through here, so it validates too.
+        return cls(*iterable)
+
     @property
     def is_global(self) -> bool:
         return self.sender is None

@@ -2,10 +2,11 @@ from __future__ import annotations
 
 from importlib import import_module
 from itertools import combinations, islice
+from random import Random
 from unittest.mock import patch
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rclcheck.automaton
@@ -337,6 +338,75 @@ def test_witnesses_of_drawn_leaf_tests(n_individuals, leaves, wildcard):
     actions = frozenset("abc")
     assume(len(relevant_universe(formula, individuals, actions)) <= 10)
     check_cubes(formula, individuals, actions)
+
+
+def sampled_step(rng, individuals, actions):
+    """A step drawn name by name: no action, random cells, or every sender
+    performing, so that global tests come out true as well as false."""
+    order = sorted(individuals)
+    step = set()
+    for name in sorted(actions):
+        mode = rng.randrange(3)
+        if mode == 1:
+            step.update(ra(s, name, r) for s in order for r in order if rng.random() < 0.2)
+        elif mode == 2:
+            step.update(ra(s, name, rng.choice(order)) for s in order)
+    return frozenset(step)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 8), st.lists(st.tuples(st.sampled_from(RELS), st.sampled_from("ab"),
+                                             st.integers(0, len(LEAVES) - 1)),
+                                   min_size=1, max_size=6),
+       st.sampled_from([None, ONE, Negation(ONE)]), st.integers(0, 10**6))
+# A false performer test leaves its global test no true side.
+@example(5, [(performer("i"), "a", 3), (GLOBAL, "a", 3)], None, 0)
+def test_sampled_steps_at_many_individuals_lie_in_one_cube(n_individuals, leaves, wildcard, seed):
+    # The leaf tests name only i, j and k, so the other individuals are
+    # senders that only a global test reads.
+    individuals = frozenset(["i", "j", "k", *(f"p{m}" for m in range(n_individuals - 3))])
+    parts = [LEAVES[kind](rel, Atom(name)) for rel, name, kind in leaves]
+    if wildcard is not None:
+        parts.append(Dynamic(GLOBAL, wildcard, Obligation(GLOBAL, Atom("c"))))
+    formula = prepare(conj(*parts))
+    actions = frozenset("abc")
+    cubes = list(enumerate_action_sets(formula, individuals, BuildOptions(), actions))
+    for witness, residual, cube in cubes:
+        assert all(holds(key, witness, individuals) is v for key, v in cube.items())
+        assert prepare(decompose(formula, witness, individuals, actions)) == residual
+    for (_, _, one), (_, _, other) in combinations(cubes, 2):
+        assert any(key in other and other[key] is not v for key, v in one.items())
+    rng = Random(seed)
+    for _ in range(200):
+        step = sampled_step(rng, individuals, actions)
+        inside = [residual for _, residual, cube in cubes
+                  if all(holds(key, step, individuals) is v for key, v in cube.items())]
+        assert inside == [prepare(decompose(formula, step, individuals, actions))]
+
+
+@pytest.mark.parametrize("n_individuals", [4, 16, 32])
+def test_idle_senders_share_of_a_global_witness_is_built_once(monkeypatch, n_individuals):
+    # Six directed triggers and a global one: 128 cubes, half of them with
+    # the global test true.  Its witness holds one action per sender, and
+    # those of the senders no other test names are built once per state.
+    individuals = frozenset(f"i{k:02}" for k in range(n_individuals))
+    formula = prepare(conj(
+        *(Dynamic(directed("i00", "i01"), Atom(f"b{k}"), Obligation(GLOBAL, Atom("c")))
+          for k in range(6)),
+        Dynamic(GLOBAL, Atom("z"), Obligation(GLOBAL, Atom("c")))))
+    built = []
+    new = RelativizedAction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(RelativizedAction, "__new__", counting)
+    cubes = list(enumerate_action_sets(formula, individuals))
+    monkeypatch.undo()
+    assert len(cubes) == 128
+    assert sum(len(step) == n_individuals + 6 for step, _, _ in cubes) == 1
+    assert len(built) <= len(individuals) + 16
 
 
 def test_witnesses_are_drawn_lazily():

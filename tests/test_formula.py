@@ -98,6 +98,13 @@ def test_relativization_shapes():
         Relativization(None, "j")
 
 
+def test_relativization_replace_validates_too():
+    with pytest.raises(ValueError):
+        GLOBAL._replace(receiver="j")
+    assert performer("i")._replace(receiver="j") == IJ
+    assert IJ._replace(receiver=None) == performer("i")
+
+
 @settings(max_examples=200, deadline=None)
 @given(relativizations, relativizations)
 def test_relativizations_are_tuples_that_keep_their_key_and_text(r1, r2):
