@@ -24,13 +24,16 @@ from .decompose import (
     _WILDCARD,
     RelativizedAction,
     _apply,
+    _group,
+    _leaf,
     _table,
     decompose,  # the per-step reference the tables reproduce; perfbench traces it here
-    deontic_tags,
+    deontic_tags,  # what a state's groups equal; perfbench traces it here
     prepare,
     prepare_exposed,
 )
-from .formula import BOTTOM, ActionName, And, Bottom, ContractSpec, Formula, Individual, Top, join
+from .formula import (BOTTOM, ActionName, And, Bottom, ContractSpec, Formula, Individual, Top,
+                      conjuncts, join)
 
 
 class SpecialLabel(Enum):
@@ -157,7 +160,7 @@ def relevant_universe(
     ``individuals`` x ``actions`` universe that no test matches, if there
     is one.
     """
-    return _universe(_table(formula, prepare_exposed)[2], individuals, actions)
+    return _universe(_table(formula, partial(_leaf, prepare_exposed))[2], individuals, actions)
 
 
 def _universe(index: dict, individuals: frozenset, actions: frozenset) -> frozenset:
@@ -310,18 +313,19 @@ def enumerate_action_sets(
     individuals: frozenset[Individual],
     options: BuildOptions = BuildOptions(),
     actions: frozenset[ActionName] = frozenset(),
-    outcome: Callable[[Formula], Formula] = prepare,
+    leaf: Callable[[Formula], tuple] = partial(_leaf, prepare),
 ) -> Iterator[tuple[frozenset, Formula, dict | None]]:
     """The transitions of one state, as lazy ``(step, residual, cube)``.
 
     The state is compiled into its step table (see ``decompose._table``),
-    with bodies and reparations put through ``outcome``, so a residual is
+    each leaf's record made by ``leaf``.  The default puts bodies and
+    reparations through ``prepare``, so a residual is
     ``prepare(decompose(formula, step))``.  There is one item per
     satisfiable cube of the state's leaf tests (see ``_cubes``), or, under
     ``options.no_pruning``, the concrete reference: every subset of the
     full universe over ``actions`` (cube ``None``), in ``_subsets`` order.
     """
-    table = _table(formula, outcome)
+    table = _table(formula, leaf)
     if not options.no_pruning:
         return _cubes(table, individuals, actions)
     return ((step, _apply(table, step, individuals), None)
@@ -342,6 +346,25 @@ def _subsets(universe: frozenset) -> Iterator[frozenset]:
 OnState = Callable[[int, Formula, frozenset], bool]
 
 
+_MISSING = object()
+
+
+def _by_identity(fn: Callable) -> Callable:
+    """``fn``, computed once per argument object.  Every argument is kept,
+    so an id is never reused while the function lives."""
+    records: dict[int, object] = {}
+    kept: list = []
+
+    def once(x):
+        record = records.get(id(x), _MISSING)
+        if record is _MISSING:
+            record = records[id(x)] = fn(x)
+            kept.append(x)
+        return record
+
+    return once
+
+
 def construct(
     spec: ContractSpec,
     options: BuildOptions = BuildOptions(),
@@ -350,18 +373,20 @@ def construct(
     """Build the automaton of a contract by repeated decomposition.
 
     A state's transitions come from ``enumerate_action_sets``, looked up
-    when the state is visited, with each exposed body and reparation
-    prepared once per construction.  The root is prepared whole, so every
-    state is canonical all the way down, and an exposed body or
-    reparation needs only ``prepare_exposed``: its rewrite, joined at its
-    top level.  Every action of a step is checked against the alphabet
-    the first time a step holds it.
+    when the state is visited.  Each leaf object's step-table record, and
+    each exposed body and reparation, is made once per construction.  The
+    root is prepared whole, so every state is canonical all the way down,
+    and an exposed body or reparation needs only ``prepare_exposed``: its
+    rewrite, joined at its top level.  Every action of a step is checked
+    against the alphabet the first time a step holds it.
     ``on_state`` runs on every state with its deontic groups, before its
     successors are explored; returning True halts the construction there.
-    States are labelled only for ``on_state``.  The automaton built so far
-    is returned whether the build finished, halted or ran out of a budget,
-    which ``exhausted`` then names; every state but the first is entered
-    by a transition.
+    States are labelled only for ``on_state``, from the groups of their
+    top-level conjuncts, each conjunct object labelled once per
+    construction, so a conjunct that states share hands them one group
+    object.  The automaton built so far is returned whether the build
+    finished, halted or ran out of a budget, which ``exhausted`` then
+    names; every state but the first is entered by a transition.
     """
     individuals = spec.effective_individuals
     checked: set = set()  # actions of drawn steps, all inside the alphabet
@@ -370,6 +395,8 @@ def construct(
     def prepare_once(formula: Formula) -> Formula:
         return prepared.get(formula) or prepared.setdefault(formula, prepare_exposed(formula))
 
+    leaf_once = _by_identity(partial(_leaf, prepare_once))
+    group_once = _by_identity(_group)
     deadline = None if options.time_limit is None else time.monotonic() + options.time_limit
 
     formulas: list[Formula] = []
@@ -383,14 +410,15 @@ def construct(
         # else its cubes, explored depth-first.
         sid = state_ids[formula] = len(formulas)
         formulas.append(formula)
-        if on_state is not None and on_state(sid, formula, deontic_tags(formula)):
+        if on_state is not None and on_state(
+                sid, formula, frozenset(filter(None, map(group_once, conjuncts(formula))))):
             return True
         if isinstance(formula, (Top, Bottom)):
             loop = SpecialLabel.TOP_LOOP if isinstance(formula, Top) else SpecialLabel.VIOLATION_LOOP
             stack.append((sid, iter([(loop, formula, None)])))
         else:
             stack.append((sid, enumerate_action_sets(formula, individuals, options,
-                                                     spec.actions, prepare_once)))
+                                                     spec.actions, leaf_once)))
         return False
 
     exhausted = ""

@@ -10,7 +10,7 @@ automaton is built.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .automaton import (
     BuildOptions,
@@ -136,6 +136,37 @@ def search_conflicts(groups: frozenset, rels: ConflictRelations) -> Clash | None
     return next(iter_group_conflicts(groups, rels), None)
 
 
+def _search_once(rels: ConflictRelations) -> Callable[[frozenset], Clash | None]:
+    """``search_conflicts`` for the states of one build, with the clash
+    verdict of each pair of groups found once.
+
+    Each distinct group gets a serial number, and a pair's verdict is kept
+    under its two numbers, in sorted group order.  ``construct`` hands
+    every state that holds a conjunct object the same group object, so a
+    group is looked up by the hash its frozenset of tags has cached.
+    """
+    serials: dict[DeonticGroup, int] = {}
+    verdicts: dict[int, Clash | None] = {}  # serial << 32 | later serial -> clash
+
+    def search(groups: frozenset) -> Clash | None:
+        if len(groups) < 2:
+            return None
+        ordered = sorted(groups, key=DeonticGroup.sort_key)
+        for i, g1 in enumerate(ordered):
+            n1 = serials.setdefault(g1, len(serials)) << 32
+            for g2 in ordered[i + 1 :]:
+                pair = n1 | serials.setdefault(g2, len(serials))
+                if pair not in verdicts:
+                    verdicts[pair] = _pair_clash(g1.kind, sorted(g1.tags, key=DeonticTag.sort_key),
+                                                 g2.kind, sorted(g2.tags, key=DeonticTag.sort_key),
+                                                 rels)
+                if verdicts[pair] is not None:
+                    return verdicts[pair]
+        return None
+
+    return search
+
+
 def clash_free_tag_count(spec: ContractSpec) -> int | None:
     """How many distinct tags the contract can ever expose (see
     ``decompose.exposed_tags``) when no two of them can clash, else None.
@@ -247,11 +278,14 @@ def build_check(spec: ContractSpec, options: BuildOptions = BuildOptions()) -> C
     every conflicting state is reported, ordered by trace length and state
     id.  Exhausted budgets yield an inconclusive verdict over the partial
     automaton.  The automaton's ``conflict_states`` are the states reported.
+    Each state's clash is ``search_conflicts`` of its groups, with each pair
+    of groups compared once per build.
     """
     clashes: dict[int, Clash] = {}
+    search = _search_once(spec.conflicts)
 
     def on_state(sid: int, formula: Formula, groups: frozenset) -> bool:
-        clash = search_conflicts(groups, spec.conflicts)
+        clash = search(groups)
         if clash is not None:
             clashes[sid] = clash
         return clash is not None and not options.complete

@@ -12,6 +12,8 @@ all read.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .formula import (
@@ -241,11 +243,11 @@ def decompose(
             raise ValueError(f"unknown individual in step: {act!r}")
         if actions is not None and act.action not in actions:
             raise ValueError(f"unknown action in step: {act!r}")
-    return _apply(_table(formula, _same), step, individuals)
+    return _apply(_table(formula, partial(_leaf, _same)), step, individuals)
 
 
 def _same(formula: Formula) -> Formula:
-    # Only ``decompose`` compiles a table with this outcome, as its caller
+    # ``decompose`` compiles its table with this outcome, as its caller
     # prepares the residual whole; ``prepare_exposed`` keeps its leaves by it.
     return formula
 
@@ -254,21 +256,24 @@ def _same(formula: Formula) -> Formula:
 # ``(sender, name)``, a global test's name, or one of these two.
 _WILDCARD = True
 _NEVER = False
+_PERMITTED = (_NEVER, TOP, TOP)  # a permission's step-table record
 
 
 def _test(rel: Relativization, action: ActionExpr):
     """What a leaf asks of a step, resolved before any step."""
-    if isinstance(action, ZeroAction):
+    kind = type(action)
+    if kind is Atom:
+        sender, receiver = rel
+        if sender is None:
+            return action.name
+        if receiver is None:
+            return (sender, action.name)
+        return RelativizedAction(sender, action.name, receiver)
+    if kind is ZeroAction:
         return _NEVER
-    if isinstance(action, OneAction):
+    if kind is OneAction:
         return _WILDCARD
-    if not isinstance(action, Atom):
-        raise ValueError(f"compound action reached the matcher: {action!r}")
-    if rel.is_global:
-        return action.name
-    if rel.is_performer:
-        return (rel.sender, action.name)
-    return RelativizedAction(rel.sender, action.name, rel.receiver)
+    raise ValueError(f"compound action reached the matcher: {action!r}")
 
 
 def _holds(test, step: frozenset, individuals: frozenset[Individual]) -> bool:
@@ -287,69 +292,77 @@ def _holds(test, step: frozenset, individuals: frozenset[Individual]) -> bool:
     return individuals <= {a.sender for a in step if a.action == test}
 
 
-def _table(formula: Formula, outcome: Callable[[Formula], Formula]) -> tuple[list, list, dict]:
+def _leaf(outcome: Callable[[Formula], Formula], f: Formula) -> tuple:
+    """A leaf's step-table record ``(test, if true, if false)``: its test
+    (see ``_test``) and what it becomes when a step makes that test true
+    or false.  Bodies and reparations go through ``outcome``, so a caller
+    can hand in their step normal form; constants and permissions never
+    change and test nothing."""
+    kind = type(f)
+    if kind is Obligation or kind is Prohibition:
+        rep = BOTTOM if f.reparation is None else outcome(f.reparation)
+        test = _test(f.rel, f.action)
+        return (test, TOP, rep) if kind is Obligation else (test, rep, TOP)
+    if kind is Dynamic:
+        trig, body = f.trigger, outcome(f.body)
+        return ((_test(f.rel, trig.inner), TOP, body) if type(trig) is Negation
+                else (_test(f.rel, trig), body, TOP))
+    if kind is Permission:
+        # Permissions impose nothing on the trace; they only label states.
+        return _PERMITTED
+    if kind is Top or kind is Bottom:
+        return _NEVER, f, f
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _table(formula: Formula, leaf: Callable[[Formula], tuple]) -> tuple[list, list, dict]:
     """Compile a normal-form formula into its step table, in one walk.
 
     The table is ``(nodes, parent, index)``.  ``nodes`` holds the formula
     in preorder, root first: its ``And``/``XChoice`` spine as ``(kind,
-    child ids)``, and each leaf as ``(test, if true, if false)``, the two
-    outcomes being what the leaf becomes when a step makes its test true
-    or false (see ``_test``).  ``parent`` holds each node's parent id, -1
-    at the root.  ``index`` maps each test key to the leaves that read it,
-    except that a leaf no step changes (a ``0`` test, or two outcomes that
-    are one object) is filed under ``_NEVER``, so every other key listed
-    is one that some step can change the residual through.
-    Bodies and reparations go through ``outcome`` once, here, so a caller
-    can hand in their step normal form; constants and permissions never
-    change and test nothing.
+    child ids)``, and each leaf as ``leaf`` of it, a record ``(test, if
+    true, if false)`` such as ``_leaf`` builds.  ``parent`` holds each
+    node's parent id, -1 at the root.  ``index`` maps each test key to the
+    leaves that read it, except that a leaf no step changes (a ``0``
+    test, or two outcomes that are one object) is filed under ``_NEVER``,
+    so every other key listed is one that some step can change the
+    residual through.  The walk keeps its own stack, so a table holds no
+    reference cycle and is freed as soon as it is dropped.
     """
     nodes: list[tuple] = []
     parent: list[int] = []
     index: dict = {}
-
-    def walk(f: Formula, up: int) -> int:
+    todo = [(formula, -1)]
+    while todo:
+        f, up = todo.pop()
         n = len(nodes)
         parent.append(up)
-        if isinstance(f, (And, XChoice)):
-            nodes.append(())
-            nodes[n] = type(f), [walk(c, n) for c in f.children]
-            return n
-        if isinstance(f, (Obligation, Prohibition)):
-            rep = BOTTOM if f.reparation is None else outcome(f.reparation)
-            test = _test(f.rel, f.action)
-            leaf = (test, TOP, rep) if isinstance(f, Obligation) else (test, rep, TOP)
-        elif isinstance(f, Dynamic):
-            trig, body = f.trigger, outcome(f.body)
-            leaf = ((_test(f.rel, trig.inner), TOP, body) if isinstance(trig, Negation)
-                    else (_test(f.rel, trig), body, TOP))
-        elif isinstance(f, Permission):
-            # Permissions impose nothing on the trace; they only label states.
-            leaf = _NEVER, TOP, TOP
-        elif isinstance(f, (Top, Bottom)):
-            leaf = _NEVER, f, f
-        else:
-            raise TypeError(f"not a formula: {f!r}")
-        nodes.append(leaf)
-        index.setdefault(_NEVER if leaf[1] is leaf[2] else leaf[0], []).append(n)
-        return n
-
-    walk(formula, -1)
+        if up >= 0:
+            nodes[up][1].append(n)
+        kind = type(f)
+        if kind is And or kind is XChoice:
+            nodes.append((kind, []))
+            todo += zip(reversed(f.children), repeat(n))
+            continue
+        record = leaf(f)
+        nodes.append(record)
+        index.setdefault(_NEVER if record[1] is record[2] else record[0], []).append(n)
     return nodes, parent, index
 
 
 def _apply(table: tuple, step: frozenset, individuals: frozenset[Individual]) -> Formula:
     """The residual of a step table after ``step``: each leaf's outcome,
-    joined up its spine by ``join``.  Children are drawn lazily, so the
-    rest of a spine after an absorbing child is skipped."""
-    nodes = table[0]
+    joined up its spine by ``join``."""
+    return _residual(table[0], 0, step, individuals)
 
-    def go(n: int) -> Formula:
-        node = nodes[n]
-        if len(node) == 2:
-            return join(node[0], map(go, node[1]))
-        return node[1] if _holds(node[0], step, individuals) else node[2]
 
-    return go(0)
+def _residual(nodes: list, n: int, step: frozenset, individuals: frozenset[Individual]) -> Formula:
+    # Children are drawn lazily, so the rest of a spine after an absorbing
+    # child is skipped.
+    node = nodes[n]
+    if len(node) == 2:
+        return join(node[0], (_residual(nodes, c, step, individuals) for c in node[1]))
+    return node[1] if _holds(node[0], step, individuals) else node[2]
 
 
 # ---------------------------------------------------------------------------
@@ -385,17 +398,16 @@ def deontic_tags(formula: Formula) -> frozenset:
     choice contributes one group holding every alternative's tags.  A
     formula with only dynamic operators (or none) labels as the empty set.
     """
-    groups: set[DeonticGroup] = set()
-    for c in conjuncts(formula):
-        if isinstance(c, XChoice):
-            tags = frozenset(_branch_tags(c))
-            if tags:
-                groups.add(DeonticGroup(GroupKind.OBLIGATION_CHOICE, tags))
-            continue
-        tag = _tag(c)
-        if tag is not None:
-            groups.add(DeonticGroup(GroupKind.CONJUNCT, frozenset({tag})))
-    return frozenset(groups)
+    return frozenset(filter(None, map(_group, conjuncts(formula))))
+
+
+def _group(conjunct: Formula) -> DeonticGroup | None:
+    """The deontic group that one top-level conjunct contributes, if any."""
+    if isinstance(conjunct, XChoice):
+        tags = frozenset(_branch_tags(conjunct))
+        return DeonticGroup(GroupKind.OBLIGATION_CHOICE, tags) if tags else None
+    tag = _tag(conjunct)
+    return None if tag is None else DeonticGroup(GroupKind.CONJUNCT, frozenset({tag}))
 
 
 def exposed_tags(*formulas: Formula) -> Iterator[DeonticTag]:

@@ -9,6 +9,7 @@ subset of ``relevant_universe`` of its step table.
 """
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 from typing import NamedTuple
 
@@ -18,6 +19,7 @@ from .decompose import (
     DeonticOp,
     DeonticTag,
     _apply,
+    _leaf,
     _table,
     deontic_tags,
     prepare,
@@ -201,7 +203,7 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
         if done.get(formula, -1) >= remaining:
             return None
         done[formula] = remaining
-        table = _table(formula, prepare)
+        table = _table(formula, partial(_leaf, prepare))
         for step in _subsets(_universe(table[2], individuals, spec.actions)):
             found = explore(_apply(table, step, individuals), remaining - 1, prefix + (step,))
             if found is not None:

@@ -538,11 +538,14 @@ def test_construction_is_deterministic():
 
 
 def test_construct_labels_states_only_for_a_callback(monkeypatch, sales_contract_text):
-    def refuse(formula):
+    # A state is labelled from the group of each of its top-level conjuncts.
+    def refuse(conjunct):
         raise AssertionError("construct labelled a state without a callback")
 
-    monkeypatch.setattr(rclcheck.automaton, "deontic_tags", refuse)
+    monkeypatch.setattr(rclcheck.automaton, "_group", refuse)
     assert construct(parse_or_raise(sales_contract_text)).n_states > 1
+    with pytest.raises(AssertionError, match="without a callback"):
+        construct(parse_or_raise(sales_contract_text), on_state=lambda *state: False)
 
 
 def assert_transitions_follow_decompose(spec, options):

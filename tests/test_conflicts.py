@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 import rclcheck.conflicts as conflicts
 import rclcheck.decompose
 from rclcheck import (
+    And,
     Atom,
     BuildOptions,
     Choice,
@@ -24,6 +26,7 @@ from rclcheck import (
     Prohibition,
     Relativization,
     VerdictKind,
+    XChoice,
     check,
     conj,
     construct,
@@ -42,6 +45,7 @@ from rclcheck.conflicts import build_check, clash_free_tag_count, render_tag
 from rclcheck.decompose import deontic_tags, exposed_tags, prepare, rewrite_compound
 from rclcheck.generator import generate
 
+from conftest import CONTRACTS
 from dot_grammar import validate_dot
 from strategies import choice_obligation_specs, rename_spec, specs
 
@@ -514,3 +518,62 @@ def test_the_both_branch_of_an_obligation_over_a_choice_changes_nothing(spec):
         patch.setattr(rclcheck.decompose, "rewrite_compound", rewrite_with_both_branch)
         before = complete_reading(spec)
     assert complete_reading(spec) == before
+
+
+# ---------------------------------------------------------------------------
+# Per-build records
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(specs(pairs=True), choice_obligation_specs()))
+def test_per_build_groups_and_clashes_are_those_of_each_state(spec):
+    # A build labels a state from records shared between its states, and
+    # compares each pair of groups once; a state read alone must agree.
+    options = BuildOptions(complete=True, max_states=300, max_transitions=3_000)
+    labelled = []
+    construct(spec, options, lambda sid, formula, groups: labelled.append((formula, groups)))
+    for formula, groups in labelled:
+        assert groups == deontic_tags(formula)
+    outcome = build_check(spec, options)
+    automaton = outcome.automaton
+    assert automaton.formulas == tuple(formula for formula, _ in labelled)
+    clashes = {r.state: (r.left, r.right, r.kind) for r in outcome.verdict.reports}
+    for sid, formula in enumerate(automaton.formulas):
+        assert clashes.get(sid) == search_conflicts(deontic_tags(formula), spec.conflicts)
+
+
+def spine_leaves(formula):
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, (And, XChoice)):
+            stack += f.children
+        else:
+            yield f
+
+
+@pytest.mark.parametrize("name", ["sales-contract.rcl", "sales-contract-amended.rcl"])
+def test_a_build_compiles_each_leaf_and_compares_each_tag_pair_once(monkeypatch, name):
+    tests, pairs = [], []
+    test, clash = rclcheck.decompose._test, conflicts.tags_conflict
+    monkeypatch.setattr(rclcheck.decompose, "_test", lambda *args: tests.append(args) or test(*args))
+    monkeypatch.setattr(conflicts, "tags_conflict",
+                        lambda d1, d2, rels: pairs.append((d1, d2)) or clash(d1, d2, rels))
+    spec = parse_or_raise((CONTRACTS / name).read_text())
+    automaton = build_check(spec, BuildOptions(complete=True)).automaton
+    leaves = {leaf for formula in automaton.formulas for leaf in spine_leaves(formula)}
+    assert len(tests) <= len(leaves)
+    assert len(pairs) == len(set(pairs))
+
+
+def test_a_build_leaves_no_cyclic_garbage(sales_contract_text):
+    # Step tables and their walks hold no reference cycle, so what a build
+    # drops is freed at once, not by the cycle collector.
+    checks = [(parse_or_raise(sales_contract_text), BuildOptions(complete=True)),
+              (parse_or_raise("{i,j}O(a) ^ [b]({i,j}F(a)) ^ [a]({i,j}O(a));"),
+               BuildOptions(complete=True, no_pruning=True))]
+    for spec, options in checks:
+        gc.collect()
+        outcome = run_check(spec, options)
+        assert gc.collect() == 0
+        assert outcome.verdict.has_conflicts
