@@ -17,7 +17,7 @@ from collections import deque
 from enum import Enum
 from functools import partial
 from itertools import chain, combinations, product, starmap
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterator, NamedTuple
 
 from .decompose import (
     _NEVER,
@@ -182,10 +182,14 @@ def _cubes(
     time, true side first, in one fixed order (by name; within a name
     directed keys, then performers, then the global test; the wildcard
     last), and fold each decided leaf up the spine until the root, the
-    residual, is decided.  Spine nodes count their undecided children and a
-    trail undoes counts, values and tests on backtrack, so a split costs
-    about as much as the leaves that read its test.  A global test reads
-    only the rows ``(sender, name)`` that a directed or performer key of its
+    residual, is decided.  Spine nodes count their undecided children.  A
+    split takes its true side in line and leaves only its false side to
+    come back to; two trails, one of node counts and values and one of
+    fixed tests, undo a path on backtrack, and undoing either commutes, so
+    a split costs about as much as the leaves that read its test.  Only a
+    performer test or a global test reads a row ``(sender, name)``, so only
+    the directed tests of those rows count their row's fixed cells.  A
+    global test reads only the rows that a directed or performer key of its
     name names: any other sender can always perform the name or idle.  The
     witness is the least step that realizes the cube: the cell of each true
     directed test, one action of each other row that must perform, and for
@@ -198,7 +202,7 @@ def _cubes(
     nodes, parent, readers = table
     left = [len(node[1]) if len(node) == 2 else 0 for node in nodes]  # undecided children
     value: list = [None] * len(nodes)  # each decided node's value, else None
-    trail: list = []  # n: value[n] was set; ~n: left[n] fell; a test key: it was fixed
+    trail: list[int] = []  # n: value[n] was set; ~n: left[n] fell
 
     def decide(n: int, v: Formula) -> None:
         value[n] = v
@@ -226,20 +230,29 @@ def _cubes(
     keys = sorted((key for key in readers if type(key) is not bool),
                   key=lambda k: (k, 2) if type(k) is str else (k[1], type(k) is tuple, k))
     fixed: dict = {}  # the cube: test key -> outcome
-    cells: dict = {}  # (sender, name) -> how many of its row's cells are fixed [false, true]
-    parts: dict = {}  # true test key -> the actions it adds to the witness
+    fixes: list[int] = []  # the trail of fixed tests, by key index
+    parts: dict = {}  # true test's key index -> the actions it adds to the witness
+    cells: dict = {}  # a row a test reads -> how many of its cells are fixed [false, true]
     shares: dict = {}  # global name -> (rows its other keys name, the other rows' witness)
-    if str in map(type, keys):
+    if any(type(key) is not RelativizedAction for key in keys):
         named: dict = {}  # name -> the senders its directed and performer keys name
         for key in keys:  # a name's global key sorts after its other keys
             if type(key) is not str:
                 named.setdefault(key[1], set()).add(key[0])
+                if type(key) is tuple:
+                    cells[key] = [0, 0]
                 continue
             tested = named.get(key, ())
-            shares[key] = ([(s, key) for s in order if s in tested],
-                           [RelativizedAction(s, key, order[0]) for s in order if s not in tested])
+            rows = [(s, key) for s in order if s in tested]
+            shares[key] = (rows, [RelativizedAction(s, key, order[0]) for s in order if s not in tested])
+            for row in rows:
+                cells.setdefault(row, [0, 0])
+    # A directed key's row counter, if a test reads its row.
+    counts = [cells.get(key[:2]) if type(key) is RelativizedAction else None
+              for key in keys] if cells else [None] * len(keys)
     if _WILDCARD in readers:
         keys.append(_WILDCARD)
+        counts.append(None)
         names = actions.union(key if type(key) is str else key[1] for key in keys[:-1])
         spare = partial(_spare, lambda a: fixed.get(a) is False or fixed.get(a[:2]) is False
                         or len(order) == 1 and fixed.get(a[1]) is False, individuals, names)
@@ -247,65 +260,69 @@ def _cubes(
     def performing(rows: list[tuple]) -> list[RelativizedAction]:
         # One action for each row without a true cell: its least cell not fixed false.
         return [RelativizedAction(*row, next(r for r in order if fixed.get((*row, r)) is not False)
-                                  if cells.get(row, (0, 0))[0] else order[0])
-                for row in rows if not cells.get(row, (0, 0))[1]]
+                                  if cells[row][0] else order[0])
+                for row in rows if not cells[row][1]]
 
-    def fix(key, v: bool) -> bool:
-        # Decide the leaves that read a test, unless its name's fixed tests
-        # cannot then all hold: by the key order, a check sees all of them.
-        if key is _WILDCARD and (True in fixed.values() if not v else
-                                 True not in fixed.values() and not spare()):
-            return False  # false with a true test, or true with no action left to take
-        fixed[key] = v
-        trail.append(key)
+    todo: list[tuple[int, int, int]] = []  # (key index, trail marks) of each false side to come
+    i, holds = 0, True
+    while True:
+        if holds and value[0] is None:
+            # Split on the next live key and take its true side in line.
+            # Liveness only falls along a path: a key once shut stays shut.
+            while not any(map(live, readers[keys[i]])):
+                i += 1
+            todo.append((i, len(trail), len(fixes)))
+            v = True
+        else:
+            if holds:
+                step = frozenset(chain.from_iterable(parts.values()))
+                yield step if step or not fixed.get(_WILDCARD) else spare(), value[0], dict(fixed)
+            if not todo:
+                return
+            # Back to the latest split, to take its false side.
+            i, mark, fix_mark = todo.pop()
+            for n in trail[mark:]:
+                if n < 0:
+                    left[~n] += 1
+                else:
+                    value[n] = None
+            del trail[mark:]
+            for k in fixes[fix_mark:]:
+                was = fixed.pop(keys[k])
+                if counts[k] is not None:
+                    counts[k][was] -= 1
+                if was:
+                    parts.pop(k, None)
+            del fixes[fix_mark:]
+            v = False
+        # Fix key i to v, unless its name's fixed tests cannot then all hold
+        # (by the key order, this check sees all of them), and decide the
+        # leaves that read it.
+        key = keys[i]
         if type(key) is RelativizedAction:
-            cells.setdefault(key[:2], [0, 0])[v] += 1
-        elif type(key) is tuple:  # a performer
-            false, true = cells.get(key, (0, 0))
-            if false == len(order) if v else true:
-                return False  # every cell of its row false, or one true
+            holds = True
+        elif type(key) is tuple:  # a performer: not every cell of its row false, or none true
+            false, true = cells[key]
+            holds = false < len(order) if v else not true
         elif type(key) is str:  # a global test: every sender can perform, or one may idle
             rows, idle = shares[key]  # a sender of no row can always perform or idle
-            if v and any(fixed.get(row) is False or cells.get(row, (0, 0))[0] == len(order)
-                         for row in rows):
-                return False  # a sender cannot perform
-            if not (v or idle) and all(fixed.get(row) or cells.get(row, (0, 0))[1] for row in rows):
-                return False  # every sender performs
-        if v and key is not _WILDCARD:  # every other key of its name is fixed or shut
-            parts[key] = ((key,) if type(key) is RelativizedAction else performing([key])
-                          if type(key) is tuple else performing(rows) + idle)
-        for n in readers[key]:
-            decide(n, nodes[n][1] if v else nodes[n][2])
-            if value[0] is not None:
-                break
-        return True
-
-    todo = [(0, len(trail), None)]  # (key index, trail mark, outcome to fix first)
-    while todo:
-        i, mark, v = todo.pop()
-        for n in reversed(trail[mark:]):
-            if type(n) is not int:
-                if type(n) is RelativizedAction:
-                    cells[n[:2]][fixed[n]] -= 1
-                del fixed[n]
-                parts.pop(n, None)
-            elif n < 0:
-                left[~n] += 1
-            else:
-                value[n] = None
-        del trail[mark:]
-        if v is not None:
-            if not fix(keys[i], v):
-                continue
-            i += 1
-        if value[0] is not None:
-            step = frozenset(chain.from_iterable(parts.values()))
-            yield step if step or not fixed.get(_WILDCARD) else spare(), value[0], dict(fixed)
-            continue
-        # Liveness only falls along a path: a key once shut stays shut.
-        while not any(map(live, readers[keys[i]])):
-            i += 1
-        todo += (i, len(trail), False), (i, len(trail), True)
+            holds = (not any(fixed.get(row) is False or cells[row][0] == len(order) for row in rows)
+                     if v else bool(idle) or not all(fixed.get(row) or cells[row][1] for row in rows))
+        else:  # the wildcard: true with an action left to take, false with no test true
+            holds = True in fixed.values() or bool(spare()) if v else True not in fixed.values()
+        if holds:
+            fixed[key] = v
+            fixes.append(i)
+            if counts[i] is not None:
+                counts[i][v] += 1
+            if v and key is not _WILDCARD:  # every other key of its name is fixed or shut
+                parts[i] = ((key,) if type(key) is RelativizedAction else performing([key])
+                            if type(key) is tuple else performing(rows) + idle)
+            for n in readers[key]:
+                decide(n, nodes[n][1] if v else nodes[n][2])
+                if value[0] is not None:
+                    break
+        i += 1
 
 
 def enumerate_action_sets(
@@ -472,30 +489,44 @@ def trace_to(automaton: ContractAutomaton, state: int) -> tuple[TraceStep, ...]:
     """One shortest path from state 0, by breadth-first search."""
     if not (0 <= state < automaton.n_states):
         raise ValueError(f"no such state: {state}")
+    return _traces(automaton, [state])[state]
+
+
+def _traces(automaton: ContractAutomaton,
+            states: Collection[int]) -> dict[int, tuple[TraceStep, ...]]:
+    """``trace_to`` of each of ``states``, from one breadth-first search
+    that stops once it has reached them all.  A state's parent is where the
+    search first reached it, which does not depend on where it stops, so
+    each path is the one ``trace_to`` gives alone."""
     adjacency: dict[int, list[tuple[int, int]]] = {}
     for idx, tr in enumerate(automaton.transitions):
         adjacency.setdefault(tr.source, []).append((idx, tr.target))
     parents: dict[int, tuple[int, int]] = {}  # state -> (parent, transition idx)
     seen = {0}
+    wanted = set(states) - seen
     queue = deque([0])
-    while queue and state not in seen:
+    while queue and wanted:
         source = queue.popleft()
         for idx, target in adjacency.get(source, ()):
             if target not in seen:
                 seen.add(target)
+                wanted.discard(target)
                 parents[target] = (source, idx)
                 queue.append(target)
-    if state not in seen:
-        raise ValueError(f"state s{state} is unreachable from s0")
-    path: list[TraceStep] = []
-    cursor = state
-    while cursor:
-        parent, idx = parents[cursor]
-        path.append(TraceStep(cursor, automaton.transitions[idx].label, idx))
-        cursor = parent
-    path.append(TraceStep(0))
-    path.reverse()
-    return tuple(path)
+    traces = {}
+    for state in states:
+        if state not in seen:
+            raise ValueError(f"state s{state} is unreachable from s0")
+        path: list[TraceStep] = []
+        cursor = state
+        while cursor:
+            parent, idx = parents[cursor]
+            path.append(TraceStep(cursor, automaton.transitions[idx].label, idx))
+            cursor = parent
+        path.append(TraceStep(0))
+        path.reverse()
+        traces[state] = tuple(path)
+    return traces
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,16 @@ automaton is built.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .automaton import (
     BuildOptions,
     ContractAutomaton,
     TraceStep,
+    _traces,
     construct,
-    trace_to,
+    trace_to,  # unused here, but perfbench's tracer wraps this name
 )
 from .decompose import (
     DeonticGroup,
@@ -140,22 +142,31 @@ def _search_once(rels: ConflictRelations) -> Callable[[frozenset], Clash | None]
     """``search_conflicts`` for the states of one build, with the clash
     verdict of each pair of groups found once.
 
-    Each distinct group gets a serial number, and a pair's verdict is kept
-    under its two numbers, in sorted group order.  ``construct`` hands
-    every state that holds a conjunct object the same group object, so a
-    group is looked up by the hash its frozenset of tags has cached.
+    Each distinct group gets a serial number and its ``sort_key``, made
+    once per build, and a pair's verdict is kept under its two numbers, in
+    sorted group order.  ``construct`` hands every state that holds a
+    conjunct object the same group object, so a group is looked up by the
+    hash its frozenset of tags has cached.  A group's key is kept flat, its
+    tag keys (four strings each) spliced in: that orders groups as
+    ``sort_key`` does, with one tuple a group.
     """
     serials: dict[DeonticGroup, int] = {}
+    keys: dict[DeonticGroup, tuple] = {}  # group -> its sort key, flattened
     verdicts: dict[int, Clash | None] = {}  # serial << 32 | later serial -> clash
 
     def search(groups: frozenset) -> Clash | None:
         if len(groups) < 2:
             return None
-        ordered = sorted(groups, key=DeonticGroup.sort_key)
+        for group in groups:
+            if group not in serials:
+                serials[group] = len(serials)
+                kind, tags = group.sort_key()
+                keys[group] = (kind, *chain.from_iterable(tags))
+        ordered = sorted(groups, key=keys.__getitem__)
         for i, g1 in enumerate(ordered):
-            n1 = serials.setdefault(g1, len(serials)) << 32
+            n1 = serials[g1] << 32
             for g2 in ordered[i + 1 :]:
-                pair = n1 | serials.setdefault(g2, len(serials))
+                pair = n1 | serials[g2]
                 if pair not in verdicts:
                     verdicts[pair] = _pair_clash(g1.kind, sorted(g1.tags, key=DeonticTag.sort_key),
                                                  g2.kind, sorted(g2.tags, key=DeonticTag.sort_key),
@@ -276,10 +287,11 @@ def build_check(spec: ContractSpec, options: BuildOptions = BuildOptions()) -> C
     By default the construction stops at the first conflicting state;
     under ``options.complete`` the whole reachable space is explored and
     every conflicting state is reported, ordered by trace length and state
-    id.  Exhausted budgets yield an inconclusive verdict over the partial
-    automaton.  The automaton's ``conflict_states`` are the states reported.
-    Each state's clash is ``search_conflicts`` of its groups, with each pair
-    of groups compared once per build.
+    id, each trace the ``trace_to`` of its state, all found by one
+    breadth-first search.  Exhausted budgets yield an inconclusive verdict
+    over the partial automaton.  The automaton's ``conflict_states`` are the
+    states reported.  Each state's clash is ``search_conflicts`` of its
+    groups, with each pair of groups compared once per build.
     """
     clashes: dict[int, Clash] = {}
     search = _search_once(spec.conflicts)
@@ -291,9 +303,9 @@ def build_check(spec: ContractSpec, options: BuildOptions = BuildOptions()) -> C
         return clash is not None and not options.complete
 
     automaton = construct(spec, options, on_state)._replace(conflict_states=frozenset(clashes))
-
+    traces = _traces(automaton, clashes) if clashes else {}
     reports = tuple(sorted(
-        (ConflictReport(sid, kind, left, right, trace_to(automaton, sid),
+        (ConflictReport(sid, kind, left, right, traces[sid],
                         render_tag(left), render_tag(right))
          for sid, (left, right, kind) in clashes.items()),
         key=lambda r: (len(r.trace), r.state)))

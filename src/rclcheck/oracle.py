@@ -192,23 +192,27 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
     if max_len > _MAX_LEN:
         raise ValueError(f"trace bound {max_len} exceeds {_MAX_LEN}")
 
-    done: dict[Formula, int] = {}
-
-    def explore(formula: Formula, remaining: int, prefix: tuple) -> OracleResult | None:
-        clash = search_conflicts(deontic_tags(formula), spec.conflicts)
-        if clash is not None:
-            return OracleResult(True, prefix, clash)
-        if remaining == 0 or isinstance(formula, (Top, Bottom)):
-            return None
-        if done.get(formula, -1) >= remaining:
-            return None
-        done[formula] = remaining
-        table = _table(formula, partial(_leaf, prepare))
-        for step in _subsets(_universe(table[2], individuals, spec.actions)):
-            found = explore(_apply(table, step, individuals), remaining - 1, prefix + (step,))
-            if found is not None:
-                return found
-        return None
-
-    found = explore(prepare(spec.root()), max_len, ())
+    found = _explore(spec, individuals, {}, prepare(spec.root()), max_len, ())
     return found if found is not None else OracleResult(False)
+
+
+def _explore(spec: ContractSpec, individuals: frozenset[Individual], done: dict[Formula, int],
+             formula: Formula, remaining: int, prefix: tuple) -> OracleResult | None:
+    # The first clash along a depth-first walk; ``done`` holds the largest
+    # bound each residual was already walked with.  A module function, not a
+    # closure, so a search leaves no reference cycle behind.
+    clash = search_conflicts(deontic_tags(formula), spec.conflicts)
+    if clash is not None:
+        return OracleResult(True, prefix, clash)
+    if remaining == 0 or isinstance(formula, (Top, Bottom)):
+        return None
+    if done.get(formula, -1) >= remaining:
+        return None
+    done[formula] = remaining
+    table = _table(formula, partial(_leaf, prepare))
+    for step in _subsets(_universe(table[2], individuals, spec.actions)):
+        found = _explore(spec, individuals, done, _apply(table, step, individuals),
+                         remaining - 1, prefix + (step,))
+        if found is not None:
+            return found
+    return None

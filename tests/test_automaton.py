@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from functools import partial
 from importlib import import_module
 from itertools import combinations, islice
 from random import Random
@@ -48,7 +49,7 @@ from rclcheck import (
     trace_to,
 )
 from rclcheck.conflicts import build_check
-from rclcheck.decompose import decompose
+from rclcheck.decompose import _leaf, _table, decompose
 from rclcheck.generator import generate
 
 from conftest import CONTRACTS
@@ -376,6 +377,44 @@ def test_sampled_steps_at_many_individuals_lie_in_one_cube(n_individuals, leaves
         assert prepare(decompose(formula, witness, individuals, actions)) == residual
     for (_, _, one), (_, _, other) in combinations(cubes, 2):
         assert any(key in other and other[key] is not v for key, v in one.items())
+    rng = Random(seed)
+    for _ in range(200):
+        step = sampled_step(rng, individuals, actions)
+        inside = [residual for _, residual, cube in cubes
+                  if all(holds(key, step, individuals) is v for key, v in cube.items())]
+        assert inside == [prepare(decompose(formula, step, individuals, actions))]
+
+
+# Leaves whose outcomes differ, so every key of the state is a live test.
+TESTED = [0, 1, 3, 4]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 6), st.sampled_from(["directed", "performer", "global"]),
+       st.lists(st.tuples(st.sampled_from("ijk"), st.sampled_from("ijk"), st.sampled_from("ab"),
+                          st.sampled_from(TESTED)), min_size=1, max_size=5),
+       st.sampled_from(TESTED), st.integers(0, 10**6))
+def test_directed_cells_count_only_for_the_tests_that_read_their_row(
+        n_individuals, reader, cells, reader_kind, seed):
+    # A directed test counts its row's fixed cells only when a performer
+    # test of its row or a global test of its name reads them.  States with
+    # such a reader of the first cell's row, and states whose keys are all
+    # directed: each sampled step lies in exactly one cube, whose residual
+    # is the step's.
+    individuals = frozenset(["i", "j", "k", *(f"p{m}" for m in range(n_individuals - 3))])
+    parts = [LEAVES[kind](directed(s, r), Atom(name)) for s, r, name, kind in cells]
+    sender, _, name, _ = cells[0]
+    if reader != "directed":
+        rel = performer(sender) if reader == "performer" else GLOBAL
+        parts.append(LEAVES[reader_kind](rel, Atom(name)))
+    formula = prepare(conj(*parts))
+    actions = frozenset("abc")
+    keys = [key for key in _table(formula, partial(_leaf, prepare))[2] if type(key) is not bool]
+    assert all(type(key) is RelativizedAction for key in keys) is (reader == "directed")
+    cubes = list(enumerate_action_sets(formula, individuals, BuildOptions(), actions))
+    for witness, residual, cube in cubes:
+        assert all(holds(key, witness, individuals) is v for key, v in cube.items())
+        assert prepare(decompose(formula, witness, individuals, actions)) == residual
     rng = Random(seed)
     for _ in range(200):
         step = sampled_step(rng, individuals, actions)

@@ -82,13 +82,16 @@ def test_reports_do_not_depend_on_the_hash_seed():
     assert outputs[0] == outputs[1]
 
 
-# Each contract's pinned ``--complete -v`` output, and the sha256 of the DOT
-# that ``-g FILE`` then writes.
+# Each contract's pinned ``--complete -v`` output, the sha256 of the DOT that
+# ``-g FILE`` then writes, and the exit code of both runs.
 COMPLETE_VERBOSE_PINS = {
     "sales-contract": ("sales-complete-verbose.txt",
-                       "b08bdae86d12b352b5940944eb407faa246c487ef79bb5afc807eb07188c87b6"),
+                       "b08bdae86d12b352b5940944eb407faa246c487ef79bb5afc807eb07188c87b6", 1),
     "simple-example": ("simple-complete-verbose.txt",
-                       "0bd0415bce80f957b2fe45137622335492b1d962b44496608cd61d55fe6cd9c6"),
+                       "0bd0415bce80f957b2fe45137622335492b1d962b44496608cd61d55fe6cd9c6", 1),
+    # The largest fixture build; it is conflict-free, so the DOT pins it.
+    "sales-contract-amended": ("amended-complete-verbose.txt",
+                               "c9fe54e99f0918e29e3c1e363f200b9709a5b3cb5db32d8fa2bd1f6543cd0825", 0),
 }
 
 
@@ -97,15 +100,15 @@ def test_complete_verbose_output_is_pinned(capsys, tmp_path, contract):
     # Canonical child order decides state numbering and every rendered
     # state, so a change to how formulas order or compounds rewrite shows
     # here byte for byte.
-    golden_name, dot_sha256 = COMPLETE_VERBOSE_PINS[contract]
+    golden_name, dot_sha256, exit_code = COMPLETE_VERBOSE_PINS[contract]
     golden = (REPO_ROOT / "tests" / "data" / golden_name).read_text()
     path = str(CONTRACTS / f"{contract}.rcl")
     code, out, _ = run(capsys, path, "--complete", "-v")
-    assert code == 1
+    assert code == exit_code
     assert out == golden
     dot_path = tmp_path / f"{contract}.dot"
     code, _, _ = run(capsys, path, "--complete", "-v", "-g", str(dot_path))
-    assert code == 1
+    assert code == exit_code
     assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == dot_sha256
 
 

@@ -39,6 +39,7 @@ from rclcheck import (
     run_check,
     search_conflicts,
     tags_conflict,
+    trace_to,
     xchoice,
 )
 from rclcheck.conflicts import build_check, clash_free_tag_count, render_tag
@@ -540,6 +541,22 @@ def test_per_build_groups_and_clashes_are_those_of_each_state(spec):
     clashes = {r.state: (r.left, r.right, r.kind) for r in outcome.verdict.reports}
     for sid, formula in enumerate(automaton.formulas):
         assert clashes.get(sid) == search_conflicts(deontic_tags(formula), spec.conflicts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(specs(pairs=True), choice_obligation_specs()))
+def test_reports_share_one_trace_search(spec):
+    # A check's reports are traced by one breadth-first search: each trace
+    # is the one ``trace_to`` finds for its state alone, and the reports
+    # stay ordered by trace length, then state.
+    options = BuildOptions(complete=True, max_states=300, max_transitions=3_000)
+    outcome = build_check(spec, options)
+    reports = outcome.verdict.reports
+    assert {r.state for r in reports} == outcome.automaton.conflict_states
+    for report in reports:
+        assert report.trace == trace_to(outcome.automaton, report.state)
+    order = [(len(r.trace), r.state) for r in reports]
+    assert order == sorted(order)
 
 
 def spine_leaves(formula):

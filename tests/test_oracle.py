@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -231,6 +232,20 @@ def test_oracle_agrees_with_the_engine():
         engine = check(spec)
         oracle = oracle_verdict(spec, max_len=4)
         assert engine.has_conflicts == oracle.conflict, seed
+
+
+def test_an_oracle_search_leaves_no_cyclic_garbage():
+    # The depth-first walk holds no reference cycle, so what a search
+    # drops is freed at once, not by the cycle collector.
+    spec = parse_or_raise("{i,j}O(a) ^ [b]({i,j}F(a)) ^ [a]({i,j}O(a));")
+    for max_len in (1, 4):
+        gc.collect()
+        result = oracle_verdict(spec, max_len=max_len)
+        assert gc.collect() == 0
+        assert result.conflict
+    gc.collect()
+    assert oracle_verdict(parse_or_raise("[a]({i}O(b));"), max_len=3).is_conflict_free
+    assert gc.collect() == 0
 
 
 @pytest.mark.parametrize("n_actions, max_len", [(2, 4), (3, 3)], ids=["2x2", "2x3"])
