@@ -158,7 +158,8 @@ def relevant_universe(
     test tells that step from the empty one, so when a wildcard is present
     one spare action stands for all such steps: the least one of the
     ``individuals`` x ``actions`` universe that no test matches, if there
-    is one.
+    is one.  Without ``actions`` there is no spare action, and those steps
+    are left out.
     """
     return _universe(_table(formula, partial(_leaf, prepare_exposed))[2], individuals, actions)
 
@@ -328,8 +329,8 @@ def _cubes(
 def enumerate_action_sets(
     formula: Formula,
     individuals: frozenset[Individual],
+    actions: frozenset[ActionName],
     options: BuildOptions = BuildOptions(),
-    actions: frozenset[ActionName] = frozenset(),
     leaf: Callable[[Formula], tuple] = partial(_leaf, prepare),
 ) -> Iterator[tuple[frozenset, Formula, dict | None]]:
     """The transitions of one state, as lazy ``(step, residual, cube)``.
@@ -341,6 +342,7 @@ def enumerate_action_sets(
     satisfiable cube of the state's leaf tests (see ``_cubes``), or, under
     ``options.no_pruning``, the concrete reference: every subset of the
     full universe over ``actions`` (cube ``None``), in ``_subsets`` order.
+    ``actions``, the contract's alphabet, also gives a wildcard its spare.
     """
     table = _table(formula, leaf)
     if not options.no_pruning:
@@ -363,23 +365,17 @@ def _subsets(universe: frozenset) -> Iterator[frozenset]:
 OnState = Callable[[int, Formula, frozenset], bool]
 
 
-_MISSING = object()
+class _Memo(dict):
+    """``memo[x]`` is ``fn(x)``, made once per distinct ``x``, by value."""
 
+    __slots__ = ("fn",)
 
-def _by_identity(fn: Callable) -> Callable:
-    """``fn``, computed once per argument object.  Every argument is kept,
-    so an id is never reused while the function lives."""
-    records: dict[int, object] = {}
-    kept: list = []
+    def __init__(self, fn: Callable) -> None:
+        self.fn = fn
 
-    def once(x):
-        record = records.get(id(x), _MISSING)
-        if record is _MISSING:
-            record = records[id(x)] = fn(x)
-            kept.append(x)
+    def __missing__(self, x):
+        record = self[x] = self.fn(x)
         return record
-
-    return once
 
 
 def construct(
@@ -390,16 +386,17 @@ def construct(
     """Build the automaton of a contract by repeated decomposition.
 
     A state's transitions come from ``enumerate_action_sets``, looked up
-    when the state is visited.  Each leaf object's step-table record, and
-    each exposed body and reparation, is made once per construction.  The
-    root is prepared whole, so every state is canonical all the way down,
-    and an exposed body or reparation needs only ``prepare_exposed``: its
-    rewrite, joined at its top level.  Every action of a step is checked
-    against the alphabet the first time a step holds it.
+    when the state is visited.  Each distinct leaf's step-table record, and
+    each exposed body and reparation, is made once per construction and
+    looked up by value, so equal leaves share one record.  The root is
+    prepared whole, so every state is canonical all the way down, and an
+    exposed body or reparation needs only ``prepare_exposed``: its rewrite,
+    joined at its top level.  Every action of a step is checked against
+    the alphabet the first time a step holds it.
     ``on_state`` runs on every state with its deontic groups, before its
     successors are explored; returning True halts the construction there.
     States are labelled only for ``on_state``, from the groups of their
-    top-level conjuncts, each conjunct object labelled once per
+    top-level conjuncts, each distinct conjunct labelled once per
     construction, so a conjunct that states share hands them one group
     object.  The automaton built so far is returned whether the build
     finished, halted or ran out of a budget, which ``exhausted`` then
@@ -407,13 +404,8 @@ def construct(
     """
     individuals = spec.effective_individuals
     checked: set = set()  # actions of drawn steps, all inside the alphabet
-    prepared: dict[Formula, Formula] = {}
-
-    def prepare_once(formula: Formula) -> Formula:
-        return prepared.get(formula) or prepared.setdefault(formula, prepare_exposed(formula))
-
-    leaf_once = _by_identity(partial(_leaf, prepare_once))
-    group_once = _by_identity(_group)
+    leaf_once = _Memo(partial(_leaf, _Memo(prepare_exposed).__getitem__)).__getitem__
+    group_once = _Memo(_group).__getitem__
     deadline = None if options.time_limit is None else time.monotonic() + options.time_limit
 
     formulas: list[Formula] = []
@@ -434,8 +426,8 @@ def construct(
             loop = SpecialLabel.TOP_LOOP if isinstance(formula, Top) else SpecialLabel.VIOLATION_LOOP
             stack.append((sid, iter([(loop, formula, None)])))
         else:
-            stack.append((sid, enumerate_action_sets(formula, individuals, options,
-                                                     spec.actions, leaf_once)))
+            stack.append((sid, enumerate_action_sets(formula, individuals, spec.actions,
+                                                     options, leaf_once)))
         return False
 
     exhausted = ""

@@ -10,13 +10,14 @@ automaton is built.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain
+from itertools import chain, count
 from typing import Callable, NamedTuple
 
 from .automaton import (
     BuildOptions,
     ContractAutomaton,
     TraceStep,
+    _Memo,
     _traces,
     construct,
     trace_to,  # unused here, but perfbench's tracer wraps this name
@@ -120,14 +121,23 @@ def _pair_clash(kind1: GroupKind, tags1: list, kind2: GroupKind, tags2: list,
     return None
 
 
+def _order(group: DeonticGroup) -> tuple:
+    """A group's place in the search, then its kind and its tags sorted.
+
+    The place is ``sort_key`` with the tag keys, four strings each, spliced
+    into one tuple: that orders groups as ``sort_key`` does.  No two groups
+    share it, so a sort never compares what follows, and it is a tuple of
+    its own so that a group whose tags begin another's sorts first."""
+    tags = sorted(group.tags, key=DeonticTag.sort_key)
+    place = (group.kind._value_, *chain.from_iterable(map(DeonticTag.sort_key, tags)))
+    return place, group.kind, tags
+
+
 def iter_group_conflicts(groups: frozenset, rels: ConflictRelations):
     """All clashes between distinct groups, in deterministic order."""
-    if len(groups) < 2:
-        return
-    ordered = [(g.kind, sorted(g.tags, key=DeonticTag.sort_key))
-               for g in sorted(groups, key=DeonticGroup.sort_key)]
-    for i, (kind1, tags1) in enumerate(ordered):
-        for kind2, tags2 in ordered[i + 1 :]:
+    ordered = sorted(map(_order, groups))
+    for i, (_, kind1, tags1) in enumerate(ordered):
+        for _, kind2, tags2 in ordered[i + 1 :]:
             clash = _pair_clash(kind1, tags1, kind2, tags2, rels)
             if clash is not None:
                 yield clash
@@ -142,35 +152,26 @@ def _search_once(rels: ConflictRelations) -> Callable[[frozenset], Clash | None]
     """``search_conflicts`` for the states of one build, with the clash
     verdict of each pair of groups found once.
 
-    Each distinct group gets a serial number and its ``sort_key``, made
-    once per build, and a pair's verdict is kept under its two numbers, in
-    sorted group order.  ``construct`` hands every state that holds a
-    conjunct object the same group object, so a group is looked up by the
-    hash its frozenset of tags has cached.  A group's key is kept flat, its
-    tag keys (four strings each) spliced in: that orders groups as
-    ``sort_key`` does, with one tuple a group.
+    Each distinct group's ``_order`` and a serial number are made once per
+    build, and a pair's verdict is kept under its two numbers, in sorted
+    group order.  ``construct`` hands every state that holds a conjunct the
+    same group object, so a group is looked up by the hash its frozenset of
+    tags has cached.
     """
-    serials: dict[DeonticGroup, int] = {}
-    keys: dict[DeonticGroup, tuple] = {}  # group -> its sort key, flattened
+    serial = count()  # not len(records): that would make a reference cycle
+    records = _Memo(lambda group: (*_order(group), next(serial))).__getitem__
     verdicts: dict[int, Clash | None] = {}  # serial << 32 | later serial -> clash
 
     def search(groups: frozenset) -> Clash | None:
         if len(groups) < 2:
             return None
-        for group in groups:
-            if group not in serials:
-                serials[group] = len(serials)
-                kind, tags = group.sort_key()
-                keys[group] = (kind, *chain.from_iterable(tags))
-        ordered = sorted(groups, key=keys.__getitem__)
-        for i, g1 in enumerate(ordered):
-            n1 = serials[g1] << 32
-            for g2 in ordered[i + 1 :]:
-                pair = n1 | serials[g2]
+        ordered = sorted(map(records, groups))
+        for i, (_, kind1, tags1, n1) in enumerate(ordered):
+            n1 <<= 32
+            for _, kind2, tags2, n2 in ordered[i + 1 :]:
+                pair = n1 | n2
                 if pair not in verdicts:
-                    verdicts[pair] = _pair_clash(g1.kind, sorted(g1.tags, key=DeonticTag.sort_key),
-                                                 g2.kind, sorted(g2.tags, key=DeonticTag.sort_key),
-                                                 rels)
+                    verdicts[pair] = _pair_clash(kind1, tags1, kind2, tags2, rels)
                 if verdicts[pair] is not None:
                     return verdicts[pair]
         return None

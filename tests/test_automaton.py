@@ -163,7 +163,21 @@ def steps(formula, individuals, actions=frozenset()):
 
 
 def test_trivial_formula_enumerates_only_the_empty_step():
-    assert list(enumerate_action_sets(TOP, frozenset({"i"}))) == [(frozenset(), TOP, {})]
+    assert list(enumerate_action_sets(TOP, frozenset({"i"}), frozenset())) == [
+        (frozenset(), TOP, {})]
+
+
+def test_the_alphabet_gives_every_step():
+    # The contract's actions give a wildcard its spare action and the
+    # concrete mode its universe; without them both would lose steps.
+    spec = parse_or_raise("[1](F(b)) ^ P(c);")
+    state, individuals = prepare(spec.root()), spec.effective_individuals
+    assert [step for step, _, _ in enumerate_action_sets(state, individuals, spec.actions)] == [
+        {ra("i", "b", "i")}, frozenset()]
+    spec = parse_or_raise("{i,j}O(a) ^ [1]({i,j}F(b));")
+    concrete = enumerate_action_sets(prepare(spec.root()), spec.effective_individuals,
+                                     spec.actions, BuildOptions(no_pruning=True))
+    assert sum(1 for _ in concrete) == 2 ** 8
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +195,7 @@ def test_false_global_test_leaves_the_free_rows_idle():
     # A name's directed tests split before its global test.  Each row that
     # must perform holds its directed cell when that test is true, else its
     # least cell not fixed false; a row that need not perform stays empty.
-    assert list(enumerate_action_sets(formula, individuals)) == [
+    assert list(enumerate_action_sets(formula, individuals, frozenset("ab"))) == [
         ({ra("i", "a", "i"), ra("j", "a", "i"), ra("k", "a", "k")}, Obligation(GLOBAL, Atom("b")),
          {ra("k", "a", "k"): True, "a": True}),
         ({ra("k", "a", "k")}, BOTTOM, {ra("k", "a", "k"): True, "a": False}),
@@ -203,7 +217,8 @@ def test_unsatisfiable_valuation_is_skipped():
     individuals = frozenset({"i", "j"})
     formula = conj(Dynamic(performer("i"), Atom("a"), Obligation(GLOBAL, Atom("b"))),
                    Dynamic(GLOBAL, Atom("a"), Obligation(GLOBAL, Atom("c"))))
-    assert [(step, cube) for step, _, cube in enumerate_action_sets(formula, individuals)] == [
+    cubes = enumerate_action_sets(formula, individuals, frozenset("abc"))
+    assert [(step, cube) for step, _, cube in cubes] == [
         ({ra("i", "a", "i"), ra("j", "a", "i")}, {("i", "a"): True, "a": True}),
         ({ra("i", "a", "i")}, {("i", "a"): True, "a": False}),
         (frozenset(), {("i", "a"): False, "a": False}),
@@ -265,7 +280,7 @@ def check_cubes(formula, individuals, actions):
     universe = relativized_universe(individuals, actions)
     if len(universe) > 10:
         universe = relevant_universe(formula, individuals, actions)
-    cubes = list(enumerate_action_sets(formula, individuals, BuildOptions(), actions))
+    cubes = list(enumerate_action_sets(formula, individuals, actions))
     for witness, residual, cube in cubes:
         assert all(holds(key, witness, individuals) is v for key, v in cube.items())
         assert prepare(decompose(formula, witness, individuals, actions)) == residual
@@ -371,7 +386,7 @@ def test_sampled_steps_at_many_individuals_lie_in_one_cube(n_individuals, leaves
         parts.append(Dynamic(GLOBAL, wildcard, Obligation(GLOBAL, Atom("c"))))
     formula = prepare(conj(*parts))
     actions = frozenset("abc")
-    cubes = list(enumerate_action_sets(formula, individuals, BuildOptions(), actions))
+    cubes = list(enumerate_action_sets(formula, individuals, actions))
     for witness, residual, cube in cubes:
         assert all(holds(key, witness, individuals) is v for key, v in cube.items())
         assert prepare(decompose(formula, witness, individuals, actions)) == residual
@@ -411,7 +426,7 @@ def test_directed_cells_count_only_for_the_tests_that_read_their_row(
     actions = frozenset("abc")
     keys = [key for key in _table(formula, partial(_leaf, prepare))[2] if type(key) is not bool]
     assert all(type(key) is RelativizedAction for key in keys) is (reader == "directed")
-    cubes = list(enumerate_action_sets(formula, individuals, BuildOptions(), actions))
+    cubes = list(enumerate_action_sets(formula, individuals, actions))
     for witness, residual, cube in cubes:
         assert all(holds(key, witness, individuals) is v for key, v in cube.items())
         assert prepare(decompose(formula, witness, individuals, actions)) == residual
@@ -441,7 +456,8 @@ def test_idle_senders_share_of_a_global_witness_is_built_once(monkeypatch, n_ind
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(RelativizedAction, "__new__", counting)
-    cubes = list(enumerate_action_sets(formula, individuals))
+    names = frozenset({*(f"b{k}" for k in range(6)), "c", "z"})
+    cubes = list(enumerate_action_sets(formula, individuals, names))
     monkeypatch.undo()
     assert len(cubes) == 128
     assert sum(len(step) == n_individuals + 6 for step, _, _ in cubes) == 1
@@ -510,7 +526,7 @@ def test_no_pruning_enumeration_order():
     options = BuildOptions(no_pruning=True)
     individuals = frozenset({"i"})
     sets = list(
-        enumerate_action_sets(formula, individuals, options, actions=frozenset({"a", "b"}))
+        enumerate_action_sets(formula, individuals, frozenset({"a", "b"}), options)
     )
     assert [len(step) for step, _, _ in sets] == [2, 1, 1, 0]
     # Largest first, then in `combinations` order of the sorted universe.
@@ -636,7 +652,7 @@ def test_every_enumerated_set_appears_exactly_once():
     automaton = construct(spec, options)
     expected = [step for step, _, _ in
                 enumerate_action_sets(automaton.formulas[0], spec.effective_individuals,
-                                      options, spec.actions)]
+                                      spec.actions, options)]
     for sid, formula in enumerate(automaton.formulas):
         if isinstance(formula, (Top, Bottom)):
             continue
