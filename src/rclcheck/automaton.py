@@ -24,16 +24,14 @@ from .decompose import (
     _WILDCARD,
     RelativizedAction,
     _apply,
-    _group,
     _leaf,
     _table,
     decompose,  # the per-step reference the tables reproduce; perfbench traces it here
-    deontic_tags,  # what a state's groups equal; perfbench traces it here
+    deontic_tags,  # unused here, but perfbench's tracer wraps this name
     prepare,
     prepare_exposed,
 )
-from .formula import (BOTTOM, ActionName, And, Bottom, ContractSpec, Formula, Individual, Top,
-                      conjuncts, join)
+from .formula import BOTTOM, ActionName, And, Bottom, ContractSpec, Formula, Individual, Top, join
 
 
 class SpecialLabel(Enum):
@@ -362,7 +360,7 @@ def _subsets(universe: frozenset) -> Iterator[frozenset]:
 # ---------------------------------------------------------------------------
 # Construction
 
-OnState = Callable[[int, Formula, frozenset], bool]
+OnState = Callable[[int, Formula], bool]
 
 
 class _Memo(dict):
@@ -393,19 +391,15 @@ def construct(
     exposed body or reparation needs only ``prepare_exposed``: its rewrite,
     joined at its top level.  Every action of a step is checked against
     the alphabet the first time a step holds it.
-    ``on_state`` runs on every state with its deontic groups, before its
-    successors are explored; returning True halts the construction there.
-    States are labelled only for ``on_state``, from the groups of their
-    top-level conjuncts, each distinct conjunct labelled once per
-    construction, so a conjunct that states share hands them one group
-    object.  The automaton built so far is returned whether the build
+    ``on_state(sid, formula)`` runs on every state before its successors
+    are explored; returning True halts the construction there.  No state
+    is labelled.  The automaton built so far is returned whether the build
     finished, halted or ran out of a budget, which ``exhausted`` then
     names; every state but the first is entered by a transition.
     """
     individuals = spec.effective_individuals
     checked: set = set()  # actions of drawn steps, all inside the alphabet
     leaf_once = _Memo(partial(_leaf, _Memo(prepare_exposed).__getitem__)).__getitem__
-    group_once = _Memo(_group).__getitem__
     deadline = None if options.time_limit is None else time.monotonic() + options.time_limit
 
     formulas: list[Formula] = []
@@ -419,8 +413,7 @@ def construct(
         # else its cubes, explored depth-first.
         sid = state_ids[formula] = len(formulas)
         formulas.append(formula)
-        if on_state is not None and on_state(
-                sid, formula, frozenset(filter(None, map(group_once, conjuncts(formula))))):
+        if on_state is not None and on_state(sid, formula):
             return True
         if isinstance(formula, (Top, Bottom)):
             loop = SpecialLabel.TOP_LOOP if isinstance(formula, Top) else SpecialLabel.VIOLATION_LOOP

@@ -62,8 +62,8 @@ def _positive_seconds(text: str) -> float:
 
 def _positive_range(text: str) -> list[int]:
     """A positive count ``N`` or an inclusive, nonempty range ``N..M``."""
-    lo, _, hi = text.partition("..")
-    first, last = _positive_int(lo), _positive_int(hi or lo)
+    lo, dots, hi = text.partition("..")
+    first, last = _positive_int(lo), _positive_int(hi if dots else lo)
     if first > last:
         raise argparse.ArgumentTypeError(f"empty range: {text!r}")
     return list(range(first, last + 1))

@@ -10,8 +10,8 @@ automaton is built.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, count
-from typing import Callable, NamedTuple
+from itertools import count
+from typing import NamedTuple
 
 from .automaton import (
     BuildOptions,
@@ -27,6 +27,7 @@ from .decompose import (
     DeonticOp,
     DeonticTag,
     GroupKind,
+    _group,
     exposed_tags,
 )
 from .formula import (
@@ -35,6 +36,7 @@ from .formula import (
     ContractSpec,
     Formula,
     Relativization,
+    conjuncts,
 )
 from .parser import _render_rel
 
@@ -122,15 +124,10 @@ def _pair_clash(kind1: GroupKind, tags1: list, kind2: GroupKind, tags2: list,
 
 
 def _order(group: DeonticGroup) -> tuple:
-    """A group's place in the search, then its kind and its tags sorted.
-
-    The place is ``sort_key`` with the tag keys, four strings each, spliced
-    into one tuple: that orders groups as ``sort_key`` does.  No two groups
-    share it, so a sort never compares what follows, and it is a tuple of
-    its own so that a group whose tags begin another's sorts first."""
-    tags = sorted(group.tags, key=DeonticTag.sort_key)
-    place = (group.kind._value_, *chain.from_iterable(map(DeonticTag.sort_key, tags)))
-    return place, group.kind, tags
+    """A group's place in the search, its ``sort_key``, then its kind and
+    its tags sorted.  No two groups share a place, so a sort never compares
+    what follows."""
+    return group.sort_key(), group.kind, sorted(group.tags, key=DeonticTag.sort_key)
 
 
 def iter_group_conflicts(groups: frozenset, rels: ConflictRelations):
@@ -146,37 +143,6 @@ def iter_group_conflicts(groups: frozenset, rels: ConflictRelations):
 def search_conflicts(groups: frozenset, rels: ConflictRelations) -> Clash | None:
     """First clash between the deontic groups of one state, if any."""
     return next(iter_group_conflicts(groups, rels), None)
-
-
-def _search_once(rels: ConflictRelations) -> Callable[[frozenset], Clash | None]:
-    """``search_conflicts`` for the states of one build, with the clash
-    verdict of each pair of groups found once.
-
-    Each distinct group's ``_order`` and a serial number are made once per
-    build, and a pair's verdict is kept under its two numbers, in sorted
-    group order.  ``construct`` hands every state that holds a conjunct the
-    same group object, so a group is looked up by the hash its frozenset of
-    tags has cached.
-    """
-    serial = count()  # not len(records): that would make a reference cycle
-    records = _Memo(lambda group: (*_order(group), next(serial))).__getitem__
-    verdicts: dict[int, Clash | None] = {}  # serial << 32 | later serial -> clash
-
-    def search(groups: frozenset) -> Clash | None:
-        if len(groups) < 2:
-            return None
-        ordered = sorted(map(records, groups))
-        for i, (_, kind1, tags1, n1) in enumerate(ordered):
-            n1 <<= 32
-            for _, kind2, tags2, n2 in ordered[i + 1 :]:
-                pair = n1 | n2
-                if pair not in verdicts:
-                    verdicts[pair] = _pair_clash(kind1, tags1, kind2, tags2, rels)
-                if verdicts[pair] is not None:
-                    return verdicts[pair]
-        return None
-
-    return search
 
 
 def clash_free_tag_count(spec: ContractSpec) -> int | None:
@@ -292,16 +258,33 @@ def build_check(spec: ContractSpec, options: BuildOptions = BuildOptions()) -> C
     breadth-first search.  Exhausted budgets yield an inconclusive verdict
     over the partial automaton.  The automaton's ``conflict_states`` are the
     states reported.  Each state's clash is ``search_conflicts`` of its
-    groups, with each pair of groups compared once per build.
+    ``deontic_tags``.  A build makes each distinct top-level conjunct's
+    group, each group's search record and each pair of groups' verdict
+    once; a state that holds fewer than two groups makes no record.
     """
+    rels = spec.conflicts
     clashes: dict[int, Clash] = {}
-    search = _search_once(spec.conflicts)
+    group_of = _Memo(_group).__getitem__
+    serial = count()  # not len(records): that would make a reference cycle
+    records = _Memo(lambda group: (*_order(group), next(serial))).__getitem__
+    verdicts: dict[int, Clash | None] = {}  # serial << 32 | later serial -> clash
 
-    def on_state(sid: int, formula: Formula, groups: frozenset) -> bool:
-        clash = search(groups)
-        if clash is not None:
-            clashes[sid] = clash
-        return clash is not None and not options.complete
+    def on_state(sid: int, formula: Formula) -> bool:
+        groups = set(filter(None, map(group_of, conjuncts(formula))))
+        if len(groups) < 2:
+            return False
+        ordered = sorted(map(records, groups))
+        for i, (_, kind1, tags1, n1) in enumerate(ordered):
+            n1 <<= 32
+            for _, kind2, tags2, n2 in ordered[i + 1 :]:
+                pair = n1 | n2
+                if pair not in verdicts:
+                    verdicts[pair] = _pair_clash(kind1, tags1, kind2, tags2, rels)
+                clash = verdicts[pair]
+                if clash is not None:
+                    clashes[sid] = clash
+                    return not options.complete
+        return False
 
     automaton = construct(spec, options, on_state)._replace(conflict_states=frozenset(clashes))
     traces = _traces(automaton, clashes) if clashes else {}

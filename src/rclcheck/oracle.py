@@ -133,9 +133,7 @@ def satisfies(
         return _dynamic_holds(
             Dynamic(formula.rel, formula.action, reparation), sigma, sigma_d, individuals
         )
-    if isinstance(formula, Dynamic):
-        return _dynamic_holds(formula, sigma, sigma_d, individuals)
-    raise TypeError(f"not a formula: {formula!r}")
+    return _dynamic_holds(formula, sigma, sigma_d, individuals)  # ``prepare`` left a Dynamic
 
 
 def _position_splits(sigma_d: DeonticTrace):

@@ -592,15 +592,15 @@ def test_construction_is_deterministic():
     assert first.transitions == second.transitions
 
 
-def test_construct_labels_states_only_for_a_callback(monkeypatch, sales_contract_text):
-    # A state is labelled from the group of each of its top-level conjuncts.
-    def refuse(conjunct):
-        raise AssertionError("construct labelled a state without a callback")
-
-    monkeypatch.setattr(rclcheck.automaton, "_group", refuse)
-    assert construct(parse_or_raise(sales_contract_text)).n_states > 1
-    with pytest.raises(AssertionError, match="without a callback"):
-        construct(parse_or_raise(sales_contract_text), on_state=lambda *state: False)
+def test_construct_calls_on_state_once_per_state_in_order(sales_contract_text):
+    # The callback sees each state's id and formula, and nothing else.
+    spec = parse_or_raise(sales_contract_text)
+    options = BuildOptions(complete=True)
+    visited = []
+    automaton = construct(spec, options, lambda *state: visited.append(state) or False)
+    assert visited == list(enumerate(automaton.formulas))
+    assert automaton == construct(spec, options)
+    assert automaton.n_states > 1
 
 
 def assert_transitions_follow_decompose(spec, options):

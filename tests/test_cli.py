@@ -352,6 +352,7 @@ EXIT_CODES = {
     ("bench", "--individuals", "3..2", "--actions", "2"): 64,
     ("bench", "--individuals", "2", "--actions", "2", "--runs", "1", "--budget", "500",
      "--out", "{missing}/runs.csv"): 2,
+    ("bench", "--individuals", "2..", "--actions", "2"): 64,  # a range needs both ends
 }
 
 

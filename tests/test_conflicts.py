@@ -250,11 +250,11 @@ _CHOICE = GroupKind.OBLIGATION_CHOICE
           DeonticGroup(_CHOICE, frozenset({tag(GLOBAL, O, "a")})),
           DeonticGroup(_CHOICE, frozenset())])
 def test_order_sorts_groups_as_their_sort_key(groups):
-    # Each tag key is four strings, so splicing them keeps the order, and a
-    # group whose tags start another's sorts first, as its shorter key does.
+    # A group's place in the search is its sort key, so the order is stated once.
     assert sorted(groups, key=_order) == sorted(groups, key=DeonticGroup.sort_key)
     for group in groups:
-        assert _order(group)[1:] == (group.kind, sorted(group.tags, key=DeonticTag.sort_key))
+        assert _order(group) == (group.sort_key(), group.kind,
+                                 sorted(group.tags, key=DeonticTag.sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -546,19 +546,45 @@ def test_the_both_branch_of_an_obligation_over_a_choice_changes_nothing(spec):
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(specs(pairs=True), choice_obligation_specs()))
 def test_per_build_groups_and_clashes_are_those_of_each_state(spec):
-    # A build labels a state from records shared between its states, and
+    # A build labels its states from records shared between them, and
     # compares each pair of groups once; a state read alone must agree.
     options = BuildOptions(complete=True, max_states=300, max_transitions=3_000)
-    labelled = []
-    construct(spec, options, lambda sid, formula, groups: labelled.append((formula, groups)))
-    for formula, groups in labelled:
-        assert groups == deontic_tags(formula)
+    visited = []
+    construct(spec, options, lambda sid, formula: visited.append(formula))
     outcome = build_check(spec, options)
     automaton = outcome.automaton
-    assert automaton.formulas == tuple(formula for formula, _ in labelled)
+    assert automaton.formulas == tuple(visited)
     clashes = {r.state: (r.left, r.right, r.kind) for r in outcome.verdict.reports}
     for sid, formula in enumerate(automaton.formulas):
         assert clashes.get(sid) == search_conflicts(deontic_tags(formula), spec.conflicts)
+
+
+def recorded_groups(monkeypatch, spec):
+    """The groups that a complete ``build_check`` of ``spec`` made search
+    records for, after checking that it made one only for each group of a
+    state with two or more, and at most once per build."""
+    made, order = [], conflicts._order
+    monkeypatch.setattr(conflicts, "_order", lambda group: made.append(group) or order(group))
+    labels = map(deontic_tags, build_check(spec, BuildOptions(complete=True)).automaton.formulas)
+    assert len(made) == len(set(made))
+    assert set(made) == {group for groups in labels if len(groups) > 1 for group in groups}
+    return made
+
+
+@pytest.mark.parametrize("text, records", [
+    ("{i}O(a) ^ [b]({i}F(c));", 0),  # four states, none with two groups
+    ("{i}O(a) ^ {i}F(b) ^ [b]({i}O(a));", 2),
+])
+def test_a_search_record_is_made_only_for_a_state_with_two_groups(monkeypatch, text, records):
+    assert len(recorded_groups(monkeypatch, parse_or_raise(text))) == records
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(specs(pairs=True), choice_obligation_specs()))
+def test_search_records_are_made_once_per_group_of_a_state_with_two(spec):
+    # A state with fewer than two groups has nothing to compare.
+    with pytest.MonkeyPatch.context() as patch:
+        recorded_groups(patch, spec)
 
 
 @settings(max_examples=150, deadline=None)
