@@ -28,7 +28,6 @@ from .conflicts import (
     Verdict,
     VerdictKind,
     check,
-    iter_group_conflicts,
     run_check,
     search_conflicts,
     tags_conflict,

@@ -21,10 +21,9 @@ class BenchGroup(NamedTuple):
     actions: int
     clauses: int = 3
     max_depth: int = 3
-    label: str = ""
 
     def name(self) -> str:
-        return self.label or f"i{self.individuals}-a{self.actions}"
+        return f"i{self.individuals}-a{self.actions}"
 
 
 CSV_FIELDS = (

@@ -96,30 +96,18 @@ def tags_conflict(
 Clash = tuple[DeonticTag, DeonticTag, ConflictKind]
 
 
-def _first_clash(tags1: list, tags2: list, rels: ConflictRelations) -> Clash | None:
-    for d1 in tags1:
-        for d2 in tags2:
-            kind = tags_conflict(d1, d2, rels)
-            if kind is not None:
-                return (d1, d2, kind)
-    return None
-
-
-def _all_blocked(choice_tags: list, other_tags: list, rels: ConflictRelations) -> bool:
-    return all(
-        any(tags_conflict(d, d2, rels) is not None for d2 in other_tags)
-        for d in choice_tags
-    )
-
-
 def _pair_clash(kind1: GroupKind, tags1: list, kind2: GroupKind, tags2: list,
                 rels: ConflictRelations) -> Clash | None:
-    """The first clash between two groups, given each group's tags sorted."""
-    # A choice group conflicts only when every alternative is blocked.
-    if (kind1 is GroupKind.CONJUNCT and kind2 is GroupKind.CONJUNCT
-            or kind1 is GroupKind.OBLIGATION_CHOICE and _all_blocked(tags1, tags2, rels)
-            or kind2 is GroupKind.OBLIGATION_CHOICE and _all_blocked(tags2, tags1, rels)):
-        return _first_clash(tags1, tags2, rels)
+    """The first clash between two groups, given each group's tags sorted,
+    from one test of each tag pair.  A choice group clashes only when every
+    one of its alternatives clashes with the other group."""
+    clashes = [(d1, d2, kind) for d1 in tags1 for d2 in tags2
+               if (kind := tags_conflict(d1, d2, rels)) is not None]
+    if clashes and (
+            kind1 is kind2 is GroupKind.CONJUNCT
+            or kind1 is GroupKind.OBLIGATION_CHOICE and len({c[0] for c in clashes}) == len(tags1)
+            or kind2 is GroupKind.OBLIGATION_CHOICE and len({c[1] for c in clashes}) == len(tags2)):
+        return clashes[0]
     return None
 
 
@@ -130,19 +118,34 @@ def _order(group: DeonticGroup) -> tuple:
     return group.sort_key(), group.kind, sorted(group.tags, key=DeonticTag.sort_key)
 
 
-def iter_group_conflicts(groups: frozenset, rels: ConflictRelations):
-    """All clashes between distinct groups, in deterministic order."""
-    ordered = sorted(map(_order, groups))
-    for i, (_, kind1, tags1) in enumerate(ordered):
-        for _, kind2, tags2 in ordered[i + 1 :]:
-            clash = _pair_clash(kind1, tags1, kind2, tags2, rels)
-            if clash is not None:
-                yield clash
+def _searcher(rels: ConflictRelations):
+    """The first-clash search over a state's groups, in ``_order``.  It makes
+    each group's record and each pair of groups' verdict once over all the
+    states it searches, and no record for a state with fewer than two groups."""
+    serial = count()  # not len(records): that would make a reference cycle
+    records = _Memo(lambda group: (*_order(group), next(serial))).__getitem__
+    verdicts: dict[int, Clash | None] = {}  # serial << 32 | later serial -> clash
+
+    def search(groups) -> Clash | None:
+        if len(groups) < 2:
+            return None
+        ordered = sorted(map(records, groups))
+        for i, (_, kind1, tags1, n1) in enumerate(ordered):
+            n1 <<= 32
+            for _, kind2, tags2, n2 in ordered[i + 1 :]:
+                pair = n1 | n2
+                if pair not in verdicts:
+                    verdicts[pair] = _pair_clash(kind1, tags1, kind2, tags2, rels)
+                if verdicts[pair] is not None:
+                    return verdicts[pair]
+        return None
+
+    return search
 
 
 def search_conflicts(groups: frozenset, rels: ConflictRelations) -> Clash | None:
     """First clash between the deontic groups of one state, if any."""
-    return next(iter_group_conflicts(groups, rels), None)
+    return _searcher(rels)(groups)
 
 
 def clash_free_tag_count(spec: ContractSpec) -> int | None:
@@ -259,32 +262,18 @@ def build_check(spec: ContractSpec, options: BuildOptions = BuildOptions()) -> C
     over the partial automaton.  The automaton's ``conflict_states`` are the
     states reported.  Each state's clash is ``search_conflicts`` of its
     ``deontic_tags``.  A build makes each distinct top-level conjunct's
-    group, each group's search record and each pair of groups' verdict
-    once; a state that holds fewer than two groups makes no record.
+    group once, and one ``_searcher`` searches all its states.
     """
-    rels = spec.conflicts
     clashes: dict[int, Clash] = {}
     group_of = _Memo(_group).__getitem__
-    serial = count()  # not len(records): that would make a reference cycle
-    records = _Memo(lambda group: (*_order(group), next(serial))).__getitem__
-    verdicts: dict[int, Clash | None] = {}  # serial << 32 | later serial -> clash
+    search = _searcher(spec.conflicts)
 
     def on_state(sid: int, formula: Formula) -> bool:
-        groups = set(filter(None, map(group_of, conjuncts(formula))))
-        if len(groups) < 2:
+        clash = search(set(filter(None, map(group_of, conjuncts(formula)))))
+        if clash is None:
             return False
-        ordered = sorted(map(records, groups))
-        for i, (_, kind1, tags1, n1) in enumerate(ordered):
-            n1 <<= 32
-            for _, kind2, tags2, n2 in ordered[i + 1 :]:
-                pair = n1 | n2
-                if pair not in verdicts:
-                    verdicts[pair] = _pair_clash(kind1, tags1, kind2, tags2, rels)
-                clash = verdicts[pair]
-                if clash is not None:
-                    clashes[sid] = clash
-                    return not options.complete
-        return False
+        clashes[sid] = clash
+        return not options.complete
 
     automaton = construct(spec, options, on_state)._replace(conflict_states=frozenset(clashes))
     traces = _traces(automaton, clashes) if clashes else {}

@@ -14,7 +14,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .automaton import _subsets, _universe
-from .conflicts import Clash, search_conflicts
+from .conflicts import Clash, _searcher
 from .decompose import (
     DeonticOp,
     DeonticTag,
@@ -182,7 +182,8 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
     never reads ``relevant_universe``, and ``_cubes`` picks a true
     wildcard's spare action by its own rule, the least action that makes
     no test fixed false true.  What the oracle does share with the engine
-    is ``_table``, ``prepare``, ``deontic_tags`` and ``search_conflicts``.
+    is ``_table``, ``prepare``, ``deontic_tags`` and the clash search, one
+    ``_searcher`` for the whole walk.
     """
     individuals = spec.effective_individuals
     if len(individuals) > _MAX_INDIVIDUALS or len(spec.actions) > _MAX_ACTIONS:
@@ -190,16 +191,18 @@ def oracle_verdict(spec: ContractSpec, max_len: int = 4) -> OracleResult:
     if max_len > _MAX_LEN:
         raise ValueError(f"trace bound {max_len} exceeds {_MAX_LEN}")
 
-    found = _explore(spec, individuals, {}, prepare(spec.root()), max_len, ())
+    search = _searcher(spec.conflicts)
+    found = _explore(spec, search, individuals, {}, prepare(spec.root()), max_len, ())
     return found if found is not None else OracleResult(False)
 
 
-def _explore(spec: ContractSpec, individuals: frozenset[Individual], done: dict[Formula, int],
-             formula: Formula, remaining: int, prefix: tuple) -> OracleResult | None:
+def _explore(spec: ContractSpec, search, individuals: frozenset[Individual],
+             done: dict[Formula, int], formula: Formula, remaining: int,
+             prefix: tuple) -> OracleResult | None:
     # The first clash along a depth-first walk; ``done`` holds the largest
     # bound each residual was already walked with.  A module function, not a
     # closure, so a search leaves no reference cycle behind.
-    clash = search_conflicts(deontic_tags(formula), spec.conflicts)
+    clash = search(deontic_tags(formula))
     if clash is not None:
         return OracleResult(True, prefix, clash)
     if remaining == 0 or isinstance(formula, (Top, Bottom)):
@@ -209,7 +212,7 @@ def _explore(spec: ContractSpec, individuals: frozenset[Individual], done: dict[
     done[formula] = remaining
     table = _table(formula, partial(_leaf, prepare))
     for step in _subsets(_universe(table[2], individuals, spec.actions)):
-        found = _explore(spec, individuals, done, _apply(table, step, individuals),
+        found = _explore(spec, search, individuals, done, _apply(table, step, individuals),
                          remaining - 1, prefix + (step,))
         if found is not None:
             return found

@@ -177,16 +177,13 @@ def test_criterion_6_property_suites():
 
 
 def test_criterion_7_scalability_smoke():
-    groups = [
-        BenchGroup(individuals=8, actions=10, clauses=4, max_depth=3, label="g1"),
-        BenchGroup(individuals=8, actions=10, clauses=4, max_depth=3, label="g2"),
-    ]
-    for base_seed, group in zip((0, 100), groups):
+    group = BenchGroup(individuals=8, actions=10, clauses=4, max_depth=3)
+    for base_seed in (0, 100):
         started = time.monotonic()
         # A count-only budget, so the verdict does not depend on host speed.
         rows = bench([group], runs_per_group=10, base_seed=base_seed, budget=60_000)
         elapsed = time.monotonic() - started
-        assert elapsed < 180.0, f"group {group.name()} took {elapsed:.1f}s"
+        assert elapsed < 180.0, f"seeds {base_seed}.. took {elapsed:.1f}s"
         assert len(rows) == 10
         for row in rows:
             assert row["verdict"] in ("conflict-free", "conflicts"), row

@@ -192,21 +192,29 @@ def test_a_long_choice_chain_is_checked_within_its_budget(tmp_path, text, code, 
     assert done.stdout.splitlines()[0] == first_line
 
 
-@pytest.mark.parametrize("text, code, clash", [
+CHOICE = "({i,j}O(a) (+) {i,j}O(b)) ^ {i,j}O(c);"
+
+
+@pytest.mark.parametrize("text, code, report", [
     ("{i,j}O(a) ^ [b]({i,j}F(a));", 0, []),
     ("{i,j}O(a) ^ [b]({i,j}F(a)) ^ [a]({i,j}O(a));", 1,
-     ["Conflict between: {i,j}F(a) AND {i,j}O(a)"]),
-], ids=["conflict-free", "conflict"])
+     ["State: s1", "Conflict between: {i,j}F(a) AND {i,j}O(a)"]),
+    # A choice of clauses clashes only when one group blocks every alternative.
+    ("conflict { global { (a, c), (b, c) }; }; " + CHOICE, 1,
+     ["State: s0", "Conflict between: {i,j}O(a) AND {i,j}O(c)"]),
+    ("conflict { global { (a, c) }; }; " + CHOICE, 0, []),
+], ids=["conflict-free", "conflict", "choice-blocked", "choice-partly-blocked"])
 @pytest.mark.parametrize("flags", [(), ("-n",)], ids=["cubes", "concrete"])
-def test_the_concrete_mode_gives_the_same_verdict(capsys, tmp_path, text, code, clash, flags):
-    # An obligation and a prohibition of one action could clash, so neither
-    # contract is decided before its automaton is built.
+def test_the_concrete_mode_gives_the_same_verdict(capsys, tmp_path, text, code, report, flags):
+    # Each contract's tags could clash, so none is decided before its
+    # automaton is built.
     assert clash_free_tag_count(parse_or_raise(text)) is None
     path = tmp_path / "contract.rcl"
     path.write_text(text + "\n")
     got, out, _ = run(capsys, str(path), *flags)
     assert got == code
-    assert [line for line in out.splitlines() if line.startswith("Conflict between: ")] == clash
+    assert [line for line in out.splitlines()
+            if line.startswith(("State: ", "Conflict between: "))] == report
 
 
 def test_bad_flag_exits_sixtyfour(capsys):

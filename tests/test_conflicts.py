@@ -33,7 +33,6 @@ from rclcheck import (
     construct,
     directed,
     export_dot,
-    iter_group_conflicts,
     parse_or_raise,
     performer,
     render_formula,
@@ -327,6 +326,15 @@ def test_renaming_preserves_verdicts_and_maps_clashes():
             )
         return DeonticTag(rel, t.op, act_map.get(t.action, t.action))
 
+    def every_clash(outcome, rels):
+        # Each pair of a conflicting state's groups, searched alone.
+        for sid in outcome.automaton.conflict_states:
+            groups = deontic_tags(outcome.automaton.formulas[sid])
+            for pair in itertools.combinations(groups, 2):
+                clash = search_conflicts(frozenset(pair), rels)
+                if clash is not None:
+                    yield clash[:2]
+
     for seed in range(60):
         spec = generate(individuals=2, actions=2, clauses=2, max_depth=3, seed=seed)
         renamed = rename_spec(spec, ind_map, act_map)
@@ -334,18 +342,9 @@ def test_renaming_preserves_verdicts_and_maps_clashes():
         other = run_check(renamed, BuildOptions(complete=True))
         assert base.verdict.kind == other.verdict.kind
         # per-state clash sets map tag-for-tag
-        base_clashes = {
-            frozenset((mapped_tag(l), mapped_tag(r)))
-            for sid in base.automaton.conflict_states
-            for (l, r, _) in iter_group_conflicts(
-                deontic_tags(base.automaton.formulas[sid]), spec.conflicts)
-        }
-        other_clashes = {
-            frozenset((l, r))
-            for sid in other.automaton.conflict_states
-            for (l, r, _) in iter_group_conflicts(
-                deontic_tags(other.automaton.formulas[sid]), renamed.conflicts)
-        }
+        base_clashes = {frozenset(map(mapped_tag, pair))
+                        for pair in every_clash(base, spec.conflicts)}
+        other_clashes = set(map(frozenset, every_clash(other, renamed.conflicts)))
         assert base_clashes == other_clashes
 
 
@@ -630,6 +629,37 @@ def test_a_build_compiles_each_leaf_and_compares_each_tag_pair_once(monkeypatch,
     tested = {"sales-contract.rcl": 24, "sales-contract-amended.rcl": 27}[name]
     assert sum(type(f) is not Permission for f in made) == tested
     assert len(pairs) == len(set(pairs))
+
+
+PARTLY_BLOCKED = "({i,j}O(a) (+) {i,j}O(b)) ^ {i,j}O(c);"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(specs(pairs=True), choice_obligation_specs()))
+@example(parse_or_raise("conflict { global { (a, c), (b, c) }; }; " + PARTLY_BLOCKED))
+@example(parse_or_raise("conflict { global { (a, c) }; }; " + PARTLY_BLOCKED))
+# Compares O(a) with O(c) twice, once per pair of groups that holds them.
+@example(parse_or_raise("conflict { global { (a, c) }; }; {i}O(a+b) ^ {i}O(a) ^ {i}O(c);"))
+def test_a_complete_build_decides_each_group_pair_in_one_pass(spec):
+    # A build decides each pair of groups once, from one pass over its tag
+    # pairs, even when a choice group must be blocked in every alternative.
+    decided, pair_clash, clash = [], conflicts._pair_clash, conflicts.tags_conflict
+
+    def decide(kind1, tags1, kind2, tags2, rels):
+        decided.append(((kind1, *tags1), (kind2, *tags2), []))
+        return pair_clash(kind1, tags1, kind2, tags2, rels)
+
+    def compare(d1, d2, rels):
+        decided[-1][2].append((d1, d2))
+        return clash(d1, d2, rels)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(conflicts, "_pair_clash", decide)
+        patch.setattr(conflicts, "tags_conflict", compare)
+        build_check(spec, BuildOptions(complete=True, max_states=300, max_transitions=3_000))
+    assert len({groups[:2] for groups in decided}) == len(decided)
+    for _, _, pairs in decided:
+        assert len(pairs) == len(set(pairs))
 
 
 def test_a_build_leaves_no_cyclic_garbage(sales_contract_text):

@@ -107,10 +107,10 @@ CASES = [
      {"conflict": True},
      "OracleResult(conflict=False, trace=None, clash=None)"),
     (BenchGroup,
-     {"individuals": ..., "actions": ..., "clauses": 3, "max_depth": 3, "label": ""},
+     {"individuals": ..., "actions": ..., "clauses": 3, "max_depth": 3},
      {"individuals": 2, "actions": 3},
-     {"label": "small"},
-     "BenchGroup(individuals=2, actions=3, clauses=3, max_depth=3, label='')"),
+     {"max_depth": 4},
+     "BenchGroup(individuals=2, actions=3, clauses=3, max_depth=3)"),
 ]
 
 
@@ -135,7 +135,7 @@ def test_records_keep_their_fields_equality_hash_and_repr(record, fields, kwargs
 
 def test_records_keep_their_methods():
     assert str(ParseDiagnostic("warning", 2, 1, "w")) == "2:1: warning: w"
-    assert BenchGroup(2, 3).name() == "i2-a3" and BenchGroup(2, 3, label="x").name() == "x"
+    assert BenchGroup(2, 3).name() == BenchGroup(2, 3, 4, 5).name() == "i2-a3"
     assert Verdict(VerdictKind.CONFLICTS).has_conflicts
     assert Verdict(VerdictKind.CONFLICT_FREE).is_conflict_free
     assert OracleResult(False).is_conflict_free and not OracleResult(True).is_conflict_free
